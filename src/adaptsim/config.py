@@ -144,12 +144,15 @@ def _parse_requirement(node: Any) -> Requirement:
     constraints = []
     for c_node in node.get("constraints", []):
         c_node = _require_mapping(c_node, "constraint")
-        constraints.append(
-            ConstraintSpec(
-                metric=str(c_node.get("metric", "latency")),
-                target=float(c_node["target"]),
+        try:
+            constraints.append(
+                ConstraintSpec(
+                    metric=str(c_node.get("metric", "latency")),
+                    target=float(c_node["target"]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ConfigError(f"invalid requirement: {exc}") from None
     try:
         return Requirement(
             objective_metric=str(node.get("objective_metric", "precision")),

@@ -16,8 +16,11 @@ tuple maps to exactly one row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +36,7 @@ class QTableMismatchError(ValueError):
     """A persisted table does not fit the current encoder/action setup."""
 
 
-@dataclass(frozen=True)
-class ControllerObservation:
+class ControllerObservation(NamedTuple):
     """What a controller sees before deciding: current context + last results.
 
     ``last_config_ordinal`` is the index of the previous decision within the
@@ -125,12 +127,13 @@ def state_count(encoder: str, action_count: int) -> int:
     raise ValueError(f"unknown state encoder {encoder!r}")
 
 
+_ENCODE = {"v1": encode_state_v1, "v2": encode_state_v2}
+
+
 def encode_state(encoder: str, obs: ControllerObservation, action_count: int) -> int:
-    if encoder == "v1":
-        return encode_state_v1(obs, action_count)
-    if encoder == "v2":
-        return encode_state_v2(obs, action_count)
-    raise ValueError(f"unknown state encoder {encoder!r}")
+    if encoder not in _ENCODE:
+        raise ValueError(f"unknown state encoder {encoder!r}")
+    return _ENCODE[encoder](obs, action_count)
 
 
 def reward(obs: ControllerObservation, requirement: Requirement) -> float:
@@ -144,11 +147,8 @@ def reward(obs: ControllerObservation, requirement: Requirement) -> float:
         if value is None:
             raise ValueError("reward needs the last objective value")
         return value if requirement.objective_sense == "maximize" else -value
-    return -sum(
-        ratio
-        for ratio, ok in zip(obs.last_constraint_ratios, obs.satisfied_last)
-        if not ok
-    )
+    violated = map(operator.not_, obs.satisfied_last)
+    return -sum(compress(obs.last_constraint_ratios, violated))
 
 
 class QTable:
@@ -211,9 +211,10 @@ def q_update(
         raise IndexError(f"state {next_state} out of range [0, {rows})")
     if not 0 <= action < cols:
         raise IndexError(f"action {action} out of range [0, {cols})")
-    current = table.values[prev_state, action]
-    target = reward_value + params.gamma * table.values[next_state].max()
-    table.values[prev_state, action] = current + params.alpha * (target - current)
+    values = table.values
+    current = values.item(prev_state, action)
+    target = reward_value + params.gamma * max(values[next_state].tolist())
+    values[prev_state, action] = current + params.alpha * (target - current)
     table.visit_counts[prev_state, action] += 1
     return table
 
@@ -226,7 +227,8 @@ def select_action(
         raise IndexError(f"state {state} out of range [0, {table.state_count})")
     if float(rng.random()) < epsilon:
         return int(rng.integers(table.action_count))
-    return int(np.argmax(table.values[state]))
+    row = table.values[state].tolist()
+    return row.index(max(row))
 
 
 def qtable_save(table: QTable, path: str | Path) -> None:
@@ -259,6 +261,8 @@ def qtable_load(path: str | Path) -> QTable:
     )
     if values.shape != (rows, cols) or visits.shape != (rows, cols):
         raise ValueError(f"{path}: row width does not match declared shape")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: Q-values must be finite numbers")
     return QTable(encoder, values, visits)
 
 
@@ -403,6 +407,7 @@ class QLearningController:
             )
         self.name = name or f"rl-{encoder}"
         self.encoder = encoder
+        self._encode = _ENCODE[encoder]
         self.table = table
         self.requirement = requirement
         self.params = params or LearningParams()
@@ -423,7 +428,7 @@ class QLearningController:
         self._prev = None
 
     def decide(self, obs: ControllerObservation) -> int:
-        state = encode_state(self.encoder, obs, self.table.action_count)
+        state = self._encode(obs, self.table.action_count)
         if self._prev is not None and obs.satisfied_last is not None:
             prev_state, prev_action = self._prev
             r = reward(obs, self.requirement)
@@ -437,7 +442,7 @@ class QLearningController:
         """Fold the final step's reward into the table at episode end."""
         if self._prev is None or obs.satisfied_last is None:
             return
-        state = encode_state(self.encoder, obs, self.table.action_count)
+        state = self._encode(obs, self.table.action_count)
         prev_state, prev_action = self._prev
         r = reward(obs, self.requirement)
         q_update(self.table, prev_state, prev_action, r, state, self.params)

@@ -17,8 +17,9 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .service_model import (
     enumerate_configurations,
     sort_by_objective,
 )
-from .simenv import CpuChain, CpuChainParams, Environment, InputTrace, ScriptedCpu
+from .simenv import CpuChainParams, Environment, InputTrace, latency_target
 
 CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
 RL_KINDS = ("rl1", "rl2")
@@ -62,8 +63,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     cpu: float
     input_size: int
@@ -89,6 +89,7 @@ class RunMetrics:
 class EpisodeResult:
     records: list[StepRecord]
     metrics: RunMetrics
+    decide_ns: list[int]  # wall time of each decide() call, in step order
 
 
 @dataclass
@@ -199,42 +200,49 @@ def run_episode(
 ) -> EpisodeResult:
     """One full pass over the environment's trace with one controller."""
     requirement = env.requirement
+    target = latency_target(requirement)
     state = env.reset(seed)
     controller.reset()
     obs = ControllerObservation(cpu_availability=state.cpu_availability)
+    cpu_used, size_used = state.cpu_availability, state.input_size
     records: list[StepRecord] = []
     decide_ns: list[int] = []
+    decide = controller.decide
+    env_step = env.step
+    clock = time.perf_counter_ns
     for step in range(env.length):
-        t0 = time.perf_counter_ns()
-        action_index = controller.decide(obs)
-        decide_ns.append(time.perf_counter_ns() - t0)
+        t0 = clock()
+        action_index = decide(obs)
+        decide_ns.append(clock() - t0)
         config = actions[action_index]
-        cpu_used = state.cpu_availability
-        size_used = state.input_size
-        outcome = env.step(config)
-        ratios = tuple(outcome.latency / c.target for c in requirement.constraints)
+        latency, objective, satisfied, observation, _ = env_step(config)
+        # Positional construction in field order: keywords cost more per step.
         obs = ControllerObservation(
-            cpu_availability=outcome.observation.cpu_availability,
-            last_config_ordinal=action_index,
-            last_constraint_ratios=ratios,
-            satisfied_last=outcome.satisfied,
-            last_objective=outcome.objective,
+            observation.cpu_availability,
+            action_index,
+            (latency / target,),
+            satisfied,
+            objective,
         )
         records.append(
             StepRecord(
-                step=step,
-                cpu=cpu_used,
-                input_size=size_used,
-                ordinal=config.ordinal,
-                latency=outcome.latency,
-                satisfied=all(outcome.satisfied),
-                reward=reward(obs, requirement),
-                objective=outcome.objective,
+                step,
+                cpu_used,
+                size_used,
+                config.ordinal,
+                latency,
+                all(satisfied),
+                reward(obs, requirement),
+                objective,
             )
         )
-        state = outcome.observation
+        cpu_used, size_used = observation.cpu_availability, observation.input_size
     controller.finish(obs)
-    return EpisodeResult(records=records, metrics=_metrics(run_index, records, decide_ns))
+    return EpisodeResult(
+        records=records,
+        metrics=_metrics(run_index, records, decide_ns),
+        decide_ns=decide_ns,
+    )
 
 
 def _metrics(run_index: int, records: list[StepRecord], decide_ns: list[int]) -> RunMetrics:
@@ -243,20 +251,34 @@ def _metrics(run_index: int, records: list[StepRecord], decide_ns: list[int]) ->
     return RunMetrics(
         run_index=run_index,
         steps=n,
-        mean_objective=sum(r.objective for r in records) / n,
-        latency_satisfaction_pct=100.0 * sum(r.satisfied for r in records) / n,
-        mean_reward=sum(r.reward for r in records) / n,
+        mean_objective=sum(map(attrgetter("objective"), records)) / n,
+        latency_satisfaction_pct=100.0 * sum(map(attrgetter("satisfied"), records)) / n,
+        mean_reward=sum(map(attrgetter("reward"), records)) / n,
         decide_median_s=float(np.percentile(times, 50)),
         decide_p99_s=float(np.percentile(times, 99)),
     )
 
 
+class _Spellings(dict):
+    """float -> ``repr(float(x))``, computed once per distinct value.
+
+    Zero is never stored: 0.0 and -0.0 are equal keys but spell differently.
+    """
+
+    def __missing__(self, x: float) -> str:
+        spelled = repr(float(x))
+        if x:
+            self[x] = spelled
+        return spelled
+
+
 def write_run_trace(path: Path, records: Iterable[StepRecord]) -> None:
+    spell = _Spellings()
     lines = [TRACE_FILE_HEADER]
-    for r in records:
+    for step, cpu, input_size, ordinal, latency, satisfied, rew, _ in records:
         lines.append(
-            f"{r.step},{_fmt(r.cpu)},{r.input_size},{r.ordinal},"
-            f"{_fmt(r.latency)},{int(r.satisfied)},{_fmt(r.reward)}"
+            f"{step},{spell[cpu]},{input_size},{ordinal},"
+            f"{spell[latency]},{int(satisfied)},{spell[rew]}"
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -290,9 +312,9 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
         configs, spec.profile, spec.reference_size, sense=spec.requirement.objective_sense
     )
     actions = make_action_space(sorted_configs, spec.action_count)
+    env = Environment(spec.profile, spec.requirement, spec.trace, spec.cpu_params)
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    env = Environment(spec.profile, spec.requirement, spec.trace, spec.cpu_params)
     is_rl = spec.controller in RL_KINDS
     encoder = "v1" if spec.controller == "rl1" else "v2"
 
@@ -383,9 +405,11 @@ def measure_overhead(
 ) -> OverheadReport:
     """Time the per-step decision cost of a controller over a long episode.
 
-    Only the decide() call is timed (for learners that includes the value
-    update).  The impact percentage relates the median decision time to a
-    reference frame processing time, 70 ms by default.
+    Runs one episode of ``warmup + steps`` frames through :func:`run_episode`
+    and keeps the decide() durations after the first ``warmup``.  Only the
+    decide() call is timed (for learners that includes the value update).
+    The impact percentage relates the median decision time to a reference
+    frame processing time, 70 ms by default.
     """
     from . import defaults
     from .simenv import make_trace
@@ -417,25 +441,8 @@ def measure_overhead(
         LearningParams(),
         rng=np.random.default_rng(seed + 1),
     )
-    state = env.reset(seed)
-    controller.reset()
-    obs = ControllerObservation(cpu_availability=state.cpu_availability)
-    decide_ns: list[int] = []
-    for step in range(env.length):
-        t0 = time.perf_counter_ns()
-        action_index = controller.decide(obs)
-        decide_ns.append(time.perf_counter_ns() - t0)
-        outcome = env.step(actions[action_index])
-        obs = ControllerObservation(
-            cpu_availability=outcome.observation.cpu_availability,
-            last_config_ordinal=action_index,
-            last_constraint_ratios=tuple(
-                outcome.latency / c.target for c in requirement.constraints
-            ),
-            satisfied_last=outcome.satisfied,
-            last_objective=outcome.objective,
-        )
-    timed = np.asarray(decide_ns[warmup:], dtype=np.float64) / 1e9
+    episode = run_episode(env, controller, actions, seed)
+    timed = np.asarray(episode.decide_ns[warmup:], dtype=np.float64) / 1e9
     return OverheadReport(
         controller=controller_kind,
         steps=len(timed),

@@ -17,6 +17,7 @@ where ``assignments`` is the semicolon-joined value-index vector.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,11 +48,14 @@ class ProfileEntry:
         object.__setattr__(self, "assignments", tuple(int(i) for i in self.assignments))
         if self.input_size < 0:
             raise ProfileError(f"input_size must be >= 0, got {self.input_size}")
-        if self.base_latency <= 0:
-            raise ProfileError(f"base_latency must be > 0, got {self.base_latency}")
+        if not (math.isfinite(self.base_latency) and self.base_latency > 0):
+            raise ProfileError(
+                f"base_latency must be a finite number > 0, got {self.base_latency}"
+            )
         if not 0.0 <= self.objective_value <= 1.0:
             raise ProfileError(
-                f"objective_value must be in [0, 1], got {self.objective_value}"
+                f"objective_value must be a finite number in [0, 1], "
+                f"got {self.objective_value}"
             )
 
 

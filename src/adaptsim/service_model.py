@@ -114,8 +114,11 @@ class ConstraintSpec:
     direction: str = "upper"
 
     def __post_init__(self) -> None:
-        if self.target <= 0:
-            raise ValueError(f"constraint {self.metric!r} target must be > 0")
+        if not (math.isfinite(self.target) and self.target > 0):
+            raise ValueError(
+                f"constraint {self.metric!r} target must be a finite number > 0, "
+                f"got {self.target}"
+            )
         if self.direction != "upper":
             raise ValueError("only upper-bound constraints are supported")
 

@@ -15,9 +15,9 @@ one frame, and stepping past the end of the trace raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,31 +70,19 @@ class CpuChainParams:
             raise ValueError("delta_stddev must be >= 0")
 
 
-def _cpu_step_event(
-    avail: float, params: CpuChainParams, rng: np.random.Generator
-) -> tuple[float, bool]:
-    if float(rng.random()) >= params.change_prob:
-        return avail, False
-    magnitude = float(rng.normal(params.delta_mean, params.delta_stddev))
-    sign = 1.0 if float(rng.random()) < 0.5 else -1.0
-    moved = avail + sign * magnitude
-    return min(params.max_avail, max(params.min_avail, moved)), True
-
-
 def cpu_step(avail: float, params: CpuChainParams, rng: np.random.Generator) -> float:
-    """Advance the availability chain by one step.
+    """Advance the availability chain by one step from ``avail``.
 
-    With probability ``change_prob`` the availability moves by a normally
-    distributed magnitude in a uniformly random direction, clamped into
-    [min_avail, max_avail]; otherwise it stays put.  Draw order (change,
-    magnitude, sign) is fixed so seeded runs are reproducible.
+    See :meth:`CpuChain.step`, which holds the draw logic.
     """
-    value, _ = _cpu_step_event(avail, params, rng)
-    return value
+    chain = CpuChain(params)
+    chain._value = avail
+    chain._rng = rng
+    return chain.step()
 
 
 class CpuChain:
-    """Stateful wrapper around :func:`cpu_step`, starting from an idle device.
+    """Markov chain of the CPU availability, starting from an idle device.
 
     ``change_events`` counts steps where the change branch fired.  Note that
     a fired change at a range boundary can be absorbed by clamping, so the
@@ -117,12 +105,25 @@ class CpuChain:
         return self._value
 
     def step(self) -> float:
-        if self._rng is None:
+        """Advance by one step and return the new availability.
+
+        With probability ``change_prob`` the availability moves by a normally
+        distributed magnitude in a uniformly random direction, clamped into
+        [min_avail, max_avail]; otherwise it stays put.  Draw order (change,
+        magnitude, sign) is fixed so seeded runs are reproducible.
+        """
+        rng = self._rng
+        if rng is None:
             raise RuntimeError("CpuChain.step() before reset()")
-        self._value, changed = _cpu_step_event(self._value, self.params, self._rng)
-        self.change_events += changed
-        assert self.params.min_avail <= self._value <= self.params.max_avail
-        return self._value
+        p = self.params
+        if rng.random() >= p.change_prob:
+            return self._value
+        magnitude = rng.normal(p.delta_mean, p.delta_stddev)
+        moved = self._value + magnitude if rng.random() < 0.5 else self._value - magnitude
+        self._value = value = min(p.max_avail, max(p.min_avail, moved))
+        self.change_events += 1
+        assert p.min_avail <= value <= p.max_avail
+        return value
 
 
 class ScriptedCpu:
@@ -242,8 +243,7 @@ def custom_trace(sizes: Sequence[int]) -> InputTrace:
     return InputTrace(kind="custom", sizes=tuple(sizes))
 
 
-@dataclass
-class EnvState:
+class EnvState(NamedTuple):
     """Observation: context for the next decision plus last-step results."""
 
     step_index: int
@@ -254,13 +254,26 @@ class EnvState:
     last_config_ordinal: int | None = None
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     latency: float
     objective: float
     satisfied: tuple[bool, ...]
     observation: EnvState
     done: bool
+
+
+def latency_target(requirement: Requirement) -> float:
+    """The latency bound of a requirement the simulator can evaluate.
+
+    The simulator models latency only, so every constraint must be on
+    latency; constraint metrics are pairwise distinct, so there is one.
+    """
+    other = [c.metric for c in requirement.constraints if c.metric != "latency"]
+    if other:
+        raise ValueError(
+            f"the simulator models only latency; cannot evaluate constraints on {other}"
+        )
+    return requirement.constraints[0].target
 
 
 class Environment:
@@ -279,9 +292,13 @@ class Environment:
     ):
         self.profile = profile
         self.requirement = requirement
+        self._target = latency_target(requirement)
         self.trace = trace
         self.cpu = cpu_source if cpu_source is not None else CpuChain(cpu_params)
         self._sizes: tuple[int, ...] = ()
+        self._cpu_now = 0.0  # availability the next frame runs under
+        # (assignments, input size) -> (base latency, objective), per episode
+        self._cells: dict[tuple[tuple[int, ...], int], tuple[float, float]] = {}
         self._step = 0
         self._done = True
 
@@ -293,8 +310,9 @@ class Environment:
         """Start a new episode; identical seeds replay identical episodes."""
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         chain_ss, trace_ss = ss.spawn(2)
-        cpu0 = self.cpu.reset(np.random.default_rng(chain_ss))
+        cpu0 = self._cpu_now = self.cpu.reset(np.random.default_rng(chain_ss))
         self._sizes = self.trace.materialize(np.random.default_rng(trace_ss))
+        self._cells = {}
         self._step = 0
         self._done = False
         return EnvState(step_index=0, cpu_availability=cpu0, input_size=self._sizes[0])
@@ -303,34 +321,32 @@ class Environment:
         """Process one frame with the given configuration."""
         if self._done:
             raise EpisodeFinished("input trace exhausted; call reset()")
-        cpu_used = self.cpu.value
-        input_size = self._sizes[self._step]
-        base_latency, objective = self.profile.lookup(action, input_size)
+        cpu_used = self._cpu_now
+        sizes = self._sizes
+        step = self._step
+        input_size = sizes[step]
+        key = (action.assignments, input_size)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = self.profile.lookup(action, input_size)
+        base_latency, objective = cell
         latency = base_latency / cpu_used
-        satisfied = tuple(
-            latency <= c.target for c in self.requirement.constraints
-        )
-        self._step += 1
-        self._done = self._step >= len(self._sizes)
-        cpu_next = self.cpu.step()
+        step += 1
+        self._step = step
+        done = self._done = step >= len(sizes)
+        cpu_next = self._cpu_now = self.cpu.step()
         params = self.cpu.params
         assert params.min_avail <= cpu_next <= params.max_avail
-        next_size = self._sizes[self._step] if not self._done else input_size
+        # Positional construction: keywords cost more than the step's arithmetic.
         observation = EnvState(
-            step_index=self._step,
-            cpu_availability=cpu_next,
-            input_size=next_size,
-            last_latency=latency,
-            last_objective=objective,
-            last_config_ordinal=action.ordinal,
+            step,
+            cpu_next,
+            input_size if done else sizes[step],
+            latency,
+            objective,
+            action.ordinal,
         )
-        return StepOutcome(
-            latency=latency,
-            objective=objective,
-            satisfied=satisfied,
-            observation=observation,
-            done=self._done,
-        )
+        return StepOutcome(latency, objective, (latency <= self._target,), observation, done)
 
 
 def export_input_trace(

@@ -192,3 +192,54 @@ def test_cli_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["run", "--config", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _run_with_constraints(tmp_path, constraints_yaml):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(
+        MINIMAL_TOPOLOGY.replace(
+            "  constraints:\n    - metric: latency\n      target: 2.0\n", constraints_yaml
+        )
+    )
+    return main(["run", "--config", str(exp), "--out", str(tmp_path / "out")])
+
+
+def test_cli_run_rejects_non_finite_latency_target(tmp_path, capsys):
+    for target in (".nan", ".inf"):
+        status = _run_with_constraints(
+            tmp_path, f"  constraints:\n    - metric: latency\n      target: {target}\n"
+        )
+        err = capsys.readouterr().err
+        assert status == 1, target
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "finite" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_cli_run_rejects_constraint_not_on_latency(tmp_path, capsys):
+    status = _run_with_constraints(
+        tmp_path,
+        "  constraints:\n"
+        "    - metric: latency\n      target: 2.0\n"
+        "    - metric: energy\n      target: 0.5\n",
+    )
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "energy" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_cli_profile_validate_rejects_non_finite_latency(tmp_path, capsys):
+    path = tmp_path / "profile.csv"
+    assert main(["profile", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    for bad in ("nan", "inf"):
+        cells = lines[1].split(",")
+        cells[2] = bad
+        path.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert main(["profile", "--validate", str(path)]) == 1, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert ":2:" in err and "finite" in err

@@ -226,6 +226,16 @@ def test_qtable_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(loaded.visit_counts, table.visit_counts)
 
 
+def test_qtable_with_non_finite_value_rejected(tmp_path):
+    path = tmp_path / "q.txt"
+    for bad in (float("nan"), float("inf")):
+        table = QTable.zeros("v1", 4)
+        table.values[5, 2] = bad
+        qtable_save(table, path)
+        with pytest.raises(ValueError, match="finite"):
+            qtable_load(path)
+
+
 def test_qtable_dimension_mismatch(tmp_path):
     path = tmp_path / "q.txt"
     qtable_save(QTable.zeros("v1", 16), path)

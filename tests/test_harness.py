@@ -2,15 +2,20 @@ import filecmp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptsim.controllers import qtable_load
 from adaptsim.harness import (
+    TRACE_FILE_HEADER,
     CampaignLockError,
     ExperimentSpec,
+    StepRecord,
     emit_report,
     measure_overhead,
     recompute_metrics_from_trace,
     run_experiment,
+    write_run_trace,
 )
 from adaptsim.simenv import make_trace
 
@@ -214,3 +219,37 @@ def test_measure_overhead_rl_includes_update():
     report = measure_overhead("rl2", steps=2000, warmup=200)
     assert report.decide_median_s > 0
     assert report.impact_pct < 5.0
+
+
+# Any float a record can hold: signed zeros, infinities, NaN, subnormals,
+# and numpy float64 scalars next to plain floats.
+trace_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats().map(np.float64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(trace_floats, trace_floats, trace_floats), max_size=40))
+def test_write_run_trace_spells_every_float_as_its_repr(tmp_path_factory, cells):
+    # 0.0 and -0.0 compare equal but must keep their own spelling in one file
+    cells = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)] + cells + [(0.0, -0.0, -0.0)]
+    records = [
+        StepRecord(
+            step=i, cpu=cpu, input_size=6, ordinal=0, latency=latency,
+            satisfied=i % 2 == 0, reward=rew, objective=0.5,
+        )
+        for i, (cpu, latency, rew) in enumerate(cells)
+    ]
+    path = tmp_path_factory.mktemp("trace") / "run.csv"
+    write_run_trace(path, records)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == TRACE_FILE_HEADER
+    assert len(lines) == 1 + len(cells)
+    for i, (line, (cpu, latency, rew)) in enumerate(zip(lines[1:], cells)):
+        step, cpu_s, size, ordinal, latency_s, satisfied, rew_s = line.split(",")
+        assert (step, size, ordinal, satisfied) == (str(i), "6", "0", str(int(i % 2 == 0)))
+        assert cpu_s == repr(float(cpu))
+        assert latency_s == repr(float(latency))
+        assert rew_s == repr(float(rew))

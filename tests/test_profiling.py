@@ -125,6 +125,20 @@ def test_malformed_rows_and_header(tmp_path):
         load_profile(path)
 
 
+@pytest.mark.parametrize(
+    "latency, objective",
+    [
+        (float("nan"), 0.5),
+        (float("inf"), 0.5),
+        (0.1, float("nan")),
+        (0.1, float("inf")),
+    ],
+)
+def test_non_finite_entry_rejected(latency, objective):
+    with pytest.raises(ProfileError, match="finite"):
+        ProfileEntry((0,), 6, latency, objective)
+
+
 def test_lookup_interpolates_midpoint():
     table = two_point_table()
     lat, obj = table.lookup((0,), 9)

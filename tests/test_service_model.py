@@ -88,6 +88,9 @@ def test_requirement_invariants():
     lat = ConstraintSpec("latency", 1.0)
     with pytest.raises(ValueError, match="> 0"):
         ConstraintSpec("latency", 0.0)
+    for target in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintSpec("latency", target)
     with pytest.raises(ValueError, match="at least one constraint"):
         Requirement("precision", ())
     with pytest.raises(ValueError, match="distinct"):

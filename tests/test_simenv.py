@@ -198,6 +198,14 @@ def test_low_cpu_violates():
     assert out.satisfied == (False,)
 
 
+def test_constraint_not_on_latency_rejected():
+    requirement = Requirement(
+        "precision", (ConstraintSpec("latency", 1.0), ConstraintSpec("energy", 0.5))
+    )
+    with pytest.raises(ValueError, match="'energy'"):
+        Environment(flat_profile(0.5), requirement, custom_trace([6]))
+
+
 def test_reset_determinism_bit_for_bit(face_profile, face_requirement, face_sorted_configs):
     env = Environment(face_profile, face_requirement, make_trace("variable"))
     action = face_sorted_configs[100]
