@@ -11,7 +11,7 @@ face-pipeline defaults, so a minimal config can be just ``runs: 5``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -106,6 +106,18 @@ class ExperimentConfig:
 def _require_mapping(node: Any, where: str) -> Mapping[str, Any]:
     if not isinstance(node, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
+    return node
+
+
+def _params_node(node: Any, params_cls: type, where: str) -> Mapping[str, Any]:
+    """A mapping whose keys are all fields of the dataclass ``params_cls``."""
+    node = _require_mapping(node, where)
+    known = [f.name for f in fields(params_cls)]
+    for key in node:
+        if key not in known:
+            raise ConfigError(
+                f"unknown key {key!r} under {where}; expected one of {', '.join(known)}"
+            )
     return node
 
 
@@ -235,10 +247,13 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     for c in controllers:
         if c not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller {c!r}; pick from {CONTROLLER_KINDS}")
-    heuristic_params = HeuristicParams(
-        **{k: int(v) for k, v in controller_node.get("heuristic", {}).items()}
+    heuristic_node = _params_node(
+        controller_node.get("heuristic", {}), HeuristicParams, "controller.heuristic"
     )
-    learning_node = dict(controller_node.get("learning", {}))
+    heuristic_params = HeuristicParams(**{k: int(v) for k, v in heuristic_node.items()})
+    learning_node = dict(
+        _params_node(controller_node.get("learning", {}), LearningParams, "controller.learning")
+    )
     if "seed" in learning_node and learning_node["seed"] is not None:
         learning_node["seed"] = int(learning_node["seed"])
     learning_params = LearningParams(
@@ -258,7 +273,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         {int(h): int(f) for h, f in schedule_node.items()} if schedule_node else None
     )
 
-    cpu_node = _require_mapping(raw.get("cpu", {}), "cpu")
+    cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
     cpu_params = CpuChainParams(**{k: float(v) for k, v in cpu_node.items()})
 
     out_dir = Path(raw.get("out_dir", "results"))

@@ -17,6 +17,7 @@ tuple maps to exactly one row.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -231,38 +232,148 @@ def select_action(
     return row.index(max(row))
 
 
+def _spell_rows(matrix: np.ndarray, nonzero: np.ndarray, zero: str, spell) -> list[str]:
+    """One line per row of ``matrix``, cells spelled by ``spell``.
+
+    Rows with no ``nonzero`` cell share one all-``zero`` string; the other
+    rows start from ``zero`` everywhere and spell only their marked cells.
+    """
+    cols = matrix.shape[1]
+    lines = [" ".join([zero] * cols)] * matrix.shape[0]
+    rows_at, cols_at = np.nonzero(nonzero)
+    touched: dict[int, list[str]] = {}
+    for r, c, v in zip(rows_at.tolist(), cols_at.tolist(), matrix[rows_at, cols_at].tolist()):
+        cells = touched.get(r)
+        if cells is None:
+            cells = touched[r] = [zero] * cols
+        cells[c] = spell(v)
+    for r, cells in touched.items():
+        lines[r] = " ".join(cells)
+    return lines
+
+
 def qtable_save(table: QTable, path: str | Path) -> None:
-    """Persist a table so it loads back bit-exact."""
-    lines = [f"{table.encoder} {table.state_count} {table.action_count}"]
-    for row in table.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for row in table.visit_counts:
-        lines.append(" ".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Persist a table so it loads back bit-exact.
+
+    The text goes to ``<path>.tmp`` first and is then renamed onto ``path``,
+    so a crash mid-write leaves the previous table intact.
+    """
+    values, visits = table.values, table.visit_counts
+    # signbit keeps -0.0 (equal to zero) spelled as "-0.0".
+    value_lines = _spell_rows(values, (values != 0) | np.signbit(values), "0.0", repr)
+    visit_lines = _spell_rows(visits, visits != 0, "0", str)
+    header = f"{table.encoder} {table.state_count} {table.action_count}"
+    text = "\n".join([header, *value_lines, *visit_lines]) + "\n"
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+class _Parsed(dict):
+    """token -> ``convert(token)``, computed once per distinct token."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, token: str):
+        value = self[token] = self._convert(token)
+        return value
+
+
+# The ASCII bytes that ``str.split()`` treats as whitespace.
+_WHITESPACE = np.zeros(256, dtype=bool)
+_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def _parse_rows(
+    path: str | Path,
+    lines: list[str],
+    first_line: int,
+    out: np.ndarray,
+    zero: str,
+    convert,
+    what: str,
+) -> None:
+    """Fill the zero matrix ``out`` from one text line per row.
+
+    Lines equal to the all-``zero`` line are skipped.  The others are split
+    into tokens together, with numpy on their bytes (a token is a run of
+    non-whitespace, as ``str.split`` makes it), and only the tokens other
+    than ``zero`` are converted, each distinct one once.
+    """
+    cols = out.shape[1]
+    zero_line = " ".join([zero] * cols)
+    rows = [i for i, line in enumerate(lines) if line != zero_line]
+    if not rows:
+        return
+    text = "\n".join([lines[i] for i in rows])
+    if not text.isascii():  # str.split also breaks at non-ASCII whitespace
+        text = "\n".join([" ".join(lines[i].split()) for i in rows])
+    # Whitespace on both sides makes every token start and end at a change
+    # between whitespace and not; the tail also lets every token be compared
+    # with len(zero) bytes.
+    raw = b" " + text.encode("utf-8") + b" " * len(zero)
+    data = np.frombuffer(raw, dtype=np.uint8)
+    in_token = ~_WHITESPACE[data]
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # Tokens before each line end, differenced: the tokens on each line.
+    widths = np.diff(np.searchsorted(starts, np.flatnonzero(data == ord("\n"))),
+                     prepend=0, append=len(starts))
+    wrong = np.flatnonzero(widths != cols)
+    if wrong.size:
+        r = int(wrong[0])
+        raise ValueError(
+            f"{path}: line {first_line + rows[r]}: row width {widths[r]} "
+            f"does not match declared shape ({cols} columns)"
+        )
+    spelled = ends - starts != len(zero)
+    for k, byte in enumerate(zero.encode("ascii")):
+        spelled |= data[starts + k] != byte
+    parsed = _Parsed(convert)
+    at = np.flatnonzero(spelled)
+    for t, start, end in zip(at.tolist(), starts[at].tolist(), ends[at].tolist()):
+        r, c = divmod(t, cols)
+        try:
+            out[rows[r], c] = parsed[raw[start:end].decode("utf-8")]
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: line {first_line + rows[r]}: bad {what}: {exc}") from None
 
 
 def qtable_load(path: str | Path) -> QTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a table written by :func:`qtable_save`; every error names ``path``."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a UTF-8 text file") from None
     if not lines:
         raise ValueError(f"{path}: empty Q-table file")
     head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    encoder, rows, cols = head[0], int(head[1]), int(head[2])
+    try:
+        encoder, rows, cols = head[0], int(head[1]), int(head[2])
+        if len(head) != 3 or rows < 1 or cols < 1:
+            raise ValueError
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
+    if encoder not in ENCODERS:
+        raise ValueError(f"{path}: unknown state encoder {encoder!r}")
     if len(lines) != 1 + 2 * rows:
         raise ValueError(f"{path}: expected {1 + 2 * rows} lines, found {len(lines)}")
-    values = np.array(
-        [[float(tok) for tok in line.split()] for line in lines[1 : 1 + rows]],
-        dtype=np.float64,
-    )
-    visits = np.array(
-        [[int(tok) for tok in line.split()] for line in lines[1 + rows :]],
-        dtype=np.int64,
-    )
-    if values.shape != (rows, cols) or visits.shape != (rows, cols):
-        raise ValueError(f"{path}: row width does not match declared shape")
+    values = np.zeros((rows, cols), dtype=np.float64)
+    visits = np.zeros((rows, cols), dtype=np.int64)
+    _parse_rows(path, lines[1 : 1 + rows], 2, values, "0.0", float, "Q-value")
+    _parse_rows(path, lines[1 + rows :], 2 + rows, visits, "0", int, "visit count")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: Q-values must be finite numbers")
+    if (visits < 0).any():
+        raise ValueError(f"{path}: visit counts must be non-negative integers")
     return QTable(encoder, values, visits)
 
 

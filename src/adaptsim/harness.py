@@ -283,17 +283,56 @@ def write_run_trace(path: Path, records: Iterable[StepRecord]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _lock_owner(lock: Path) -> int | None:
+    """The PID written in a lock file, or None when it holds none."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8").strip())
+    except (FileNotFoundError, ValueError):
+        return None
+    return pid if pid > 0 else None
+
+
+def _is_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):  # gone, or no possible PID
+        return False
+    except PermissionError:  # alive, but owned by another user
+        return True
+    return True
+
+
 @contextmanager
 def _persistence_lock(path: Path):
+    """Hold ``<path>.lock`` (holding this process's PID) for the block.
+
+    A lock whose PID names no running process was left by a killed campaign
+    and is taken over; a lock without a PID is always refused.
+    """
     lock = path.with_name(path.name + ".lock")
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise CampaignLockError(
-            f"{lock} exists: another campaign appears to be using {path}; "
-            "remove the lock file if that campaign is no longer running"
-        ) from None
+        owner = _lock_owner(lock)
+        if owner is None:
+            raise CampaignLockError(
+                f"{lock} exists: another campaign appears to be using {path}; "
+                "remove the lock file if that campaign is no longer running"
+            ) from None
+        if _is_running(owner):
+            raise CampaignLockError(
+                f"{lock} is held by running process {owner}: "
+                f"another campaign is using {path}"
+            ) from None
+        lock.unlink(missing_ok=True)
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise CampaignLockError(
+                f"{lock} was taken by another campaign while replacing a stale lock"
+            ) from None
     try:
+        os.write(fd, f"{os.getpid()}\n".encode())
         yield
     finally:
         os.close(fd)

@@ -232,7 +232,7 @@ def make_trace(
             kind=kind,
             candidates=tuple(int(c) for c in candidates),
             change_prob=change_prob,
-            length=int(length or 1000),
+            length=1000 if length is None else int(length),
             seed=seed,
         )
     raise ValueError(f"unknown trace kind {kind!r}")

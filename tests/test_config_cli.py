@@ -243,3 +243,36 @@ def test_cli_profile_validate_rejects_non_finite_latency(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert ":2:" in err and "finite" in err
+
+
+def test_cli_run_rejects_zero_random_trace_length(tmp_path, capsys):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY.replace("random_length: 120", "random_length: 0"))
+    status = main(["run", "--config", str(exp), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "trace length must be >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, config_text",
+    [
+        ("controller.heuristic", "upgrade_aftr",
+         MINIMAL_TOPOLOGY.replace("upgrade_after: 4", "upgrade_aftr: 3")),
+        ("controller.learning", "alfa",
+         MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning:\n    alfa: 0.2\n")),
+        ("cpu", "chnge_prob", MINIMAL_TOPOLOGY + "cpu:\n  chnge_prob: 0.2\n"),
+    ],
+    ids=["heuristic", "learning", "cpu"],
+)
+def test_cli_run_rejects_unknown_parameter_key(tmp_path, capsys, section, key, config_text):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(config_text)
+    status = main(["run", "--config", str(exp), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert repr(key) in err and section in err, err
+    assert not (tmp_path / "out").exists()

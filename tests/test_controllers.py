@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from adaptsim import controllers
 from adaptsim.controllers import (
     ControllerObservation,
     HeuristicController,
@@ -248,6 +252,150 @@ def test_qtable_absent_file_defaults_to_zeros(tmp_path):
     assert table.values.shape == (144, 16)
     assert not table.values.any()
     assert not table.visit_counts.any()
+
+
+def _reference_qtable_text(table):
+    """The original dense writer: every cell spelled, one line per row."""
+    lines = [f"{table.encoder} {table.state_count} {table.action_count}"]
+    for row in table.values:
+        lines.append(" ".join(repr(float(v)) for v in row))
+    for row in table.visit_counts:
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_FINITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    sparse = draw(st.booleans())
+    values = draw(hnp.arrays(
+        np.float64, (rows, cols), elements=_FINITE_FLOATS,
+        fill=st.just(0.0) if sparse else st.nothing(),
+    ))
+    visits = draw(hnp.arrays(
+        np.int64, (rows, cols), elements=st.integers(0, 2**63 - 1),
+        fill=st.just(0) if sparse else st.nothing(),
+    ))
+    return QTable(draw(st.sampled_from(["v1", "v2"])), values, visits)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables())
+def test_qtable_save_matches_reference_bytes_and_loads_bit_exact(tmp_path, table):
+    path = tmp_path / "q.txt"
+    qtable_save(table, path)
+    assert path.read_bytes() == _reference_qtable_text(table).encode("utf-8")
+    loaded = qtable_load(path)
+    assert loaded.encoder == table.encoder
+    assert np.array_equal(loaded.values.view(np.int64), table.values.view(np.int64))
+    assert np.array_equal(loaded.visit_counts, table.visit_counts)
+    assert loaded.visit_counts.dtype == np.int64
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.txt"]  # no temp file left
+
+
+def test_qtable_save_crash_mid_write_keeps_previous_table(tmp_path, monkeypatch):
+    path = tmp_path / "q.txt"
+    old = QTable.zeros("v1", 4)
+    old.values[5, 2] = -0.0
+    old.values[7, 1] = 5e-324
+    old.visit_counts[7, 1] = 3
+    qtable_save(old, path)
+    before = path.read_bytes()
+
+    real_open = open
+
+    class HalfWrite:
+        """A file that takes half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError("simulated crash mid-write")
+
+    monkeypatch.setattr(
+        controllers, "open", lambda *a, **k: HalfWrite(real_open(*a, **k)), raising=False
+    )
+    new = QTable.zeros("v1", 4)
+    new.values[:] = 9.5
+    with pytest.raises(OSError, match="simulated crash"):
+        qtable_save(new, path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    loaded = qtable_load(path)
+    assert np.array_equal(loaded.values.view(np.int64), old.values.view(np.int64))
+    assert np.array_equal(loaded.visit_counts, old.visit_counts)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.txt"]
+
+
+def _small_saved_table(tmp_path):
+    """A saved v1 table with 2 actions (6 states): header, 6 value rows, 6 visit rows."""
+    table = QTable.zeros("v1", 2)
+    table.values[1, 0] = 0.5
+    table.visit_counts[1, 0] = 2
+    path = tmp_path / "q.txt"
+    qtable_save(table, path)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize(
+    "line, text, match",
+    [
+        (0, "v1 six 2", "malformed header"),
+        (0, "v1 6 2.0", "malformed header"),
+        (0, "v1 6 0", "malformed header"),
+        (0, "v9 6 2", "unknown state encoder"),
+        (3, "0.0 0.0 0.0", "row width"),
+        (9, "0", "row width"),
+        (3, "0.0 abc", "value"),
+        (9, "0 1.5", "visit"),
+        (9, "0 -3", "non-negative"),
+        (3, "nan 0.0", "finite"),
+    ],
+    ids=[
+        "non-integer-header", "float-header", "zero-width-header", "unknown-encoder",
+        "ragged-value-row", "ragged-visit-row", "non-numeric-value", "non-integer-visit",
+        "negative-visit", "nan-value",
+    ],
+)
+def test_qtable_load_diagnostics_name_the_file(tmp_path, line, text, match):
+    path, lines = _small_saved_table(tmp_path)
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=match) as err:
+        qtable_load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_qtable_load_reads_hand_spelled_zeros_and_negative_zero(tmp_path):
+    path, lines = _small_saved_table(tmp_path)
+    lines[1] = "0 -0.0"  # not the canonical all-zero line: parsed token by token
+    lines[2] = " 0.5\t\u00a0 0.0 "  # any whitespace separates, as str.split has it
+    lines[7] = "00 0"
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    loaded = qtable_load(path)
+    assert loaded.values[0, 0] == 0.0 and not np.signbit(loaded.values[0, 0])
+    assert np.signbit(loaded.values[0, 1])
+    assert loaded.values[1, 0] == 0.5
+    assert loaded.visit_counts.tolist() == [[0, 0], [2, 0]] + [[0, 0]] * 4
 
 
 # --- static and heuristic controllers ----------------------------------------

@@ -66,3 +66,28 @@ def test_small_grid_outputs_are_byte_identical_to_pinned_digests(tmp_path):
         for p in paths
     }
     assert got == SHA256
+
+
+# Full 512-wide action space: the persisted Q-tables of both learners after
+# two runs, pinned so the sparse-aware writer keeps every byte.
+QTABLE_GRID = {
+    "controller": {"kinds": ["rl1", "rl2"], "actions": "all"},
+    "trace": {"kinds": ["random"], "random_length": 300},
+    "runs": 2,
+}
+
+QTABLE_SHA256 = {
+    "rl1_random/qtable.txt": "7f2671fa0a6b741276b38ffc0513d60b879cfb00ab168c5810d823988035f094",
+    "rl2_random/qtable.txt": "1a42669aef9e7dc2fdec7e25b403fcb33269f6ff48cead1cc0b6f0d0186496ba",
+}
+
+
+def test_full_action_space_qtables_are_byte_identical_to_pinned_digests(tmp_path):
+    for spec in config.parse_config(QTABLE_GRID).campaign_specs(out_dir=tmp_path, base_seed=SEED):
+        harness.run_experiment(spec)
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*/qtable.txt"))
+    }
+    assert got == QTABLE_SHA256
+    assert not list(tmp_path.glob("*/qtable.txt.*"))  # no temp or lock file left behind

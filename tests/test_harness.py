@@ -1,10 +1,14 @@
 import filecmp
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptsim import harness
 from adaptsim.controllers import qtable_load
 from adaptsim.harness import (
     TRACE_FILE_HEADER,
@@ -135,6 +139,51 @@ def test_persistence_lock_collision(tmp_path, face_profile, face_topology, face_
         run_experiment(spec)
     lock.unlink()
     run_experiment(spec)
+    assert not lock.exists()
+
+
+def test_stale_lock_of_a_reaped_process_is_taken_over(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    spec = spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=1)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID no longer names a running process
+    lock = spec.qtable_path.with_name(spec.qtable_path.name + ".lock")
+    lock.write_text(f"{child.pid}\n")
+    run_experiment(spec)
+    assert not lock.exists()
+    assert spec.qtable_path.exists()
+
+
+def test_lock_of_a_running_process_is_refused_and_names_it(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    spec = spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=1)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    lock = spec.qtable_path.with_name(spec.qtable_path.name + ".lock")
+    lock.write_text(f"{os.getpid()}\n")
+    with pytest.raises(CampaignLockError, match=f"process {os.getpid()}"):
+        run_experiment(spec)
+    assert lock.read_text() == f"{os.getpid()}\n"
+    assert not spec.qtable_path.exists()
+
+
+def test_lock_holds_the_owner_pid_while_the_campaign_runs(
+    tmp_path, face_profile, face_topology, face_requirement, monkeypatch
+):
+    spec = spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=1)
+    lock = spec.qtable_path.with_name(spec.qtable_path.name + ".lock")
+    seen = []
+    real_save = harness.qtable_save
+
+    def save_and_look(table, path):
+        seen.append(lock.read_text())
+        real_save(table, path)
+
+    monkeypatch.setattr(harness, "qtable_save", save_and_look)
+    run_experiment(spec)
+    assert seen == [f"{os.getpid()}\n"]
     assert not lock.exists()
 
 
