@@ -6,14 +6,15 @@ lists; the cross product becomes one campaign per (controller, trace) pair,
 each writing into its own subdirectory of ``out_dir``.
 
 Every section is optional: omitted sections fall back to the shipped
-face-pipeline defaults, so a minimal config can be just ``runs: 5``.
+face-pipeline defaults, so a minimal config can be just ``runs: 5``.  An
+unknown key, at the top level or in any section, is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import yaml
 
@@ -103,16 +104,10 @@ class ExperimentConfig:
         return specs
 
 
-def _require_mapping(node: Any, where: str) -> Mapping[str, Any]:
+def _known_node(node: Any, where: str, known: Sequence[str]) -> Mapping[str, Any]:
+    """A mapping whose keys are all in ``known``."""
     if not isinstance(node, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
-    return node
-
-
-def _params_node(node: Any, params_cls: type, where: str) -> Mapping[str, Any]:
-    """A mapping whose keys are all fields of the dataclass ``params_cls``."""
-    node = _require_mapping(node, where)
-    known = [f.name for f in fields(params_cls)]
     for key in node:
         if key not in known:
             raise ConfigError(
@@ -121,14 +116,20 @@ def _params_node(node: Any, params_cls: type, where: str) -> Mapping[str, Any]:
     return node
 
 
+def _params_node(node: Any, params_cls: type, where: str) -> Mapping[str, Any]:
+    """A mapping whose keys are all fields of the dataclass ``params_cls``."""
+    return _known_node(node, where, [f.name for f in fields(params_cls)])
+
+
 def _parse_topology(node: Any) -> ServiceTopology:
-    node = _require_mapping(node, "topology")
+    node = _known_node(node, "topology", ("name", "operators"))
     operators = []
-    for op_node in node.get("operators", []):
-        op_node = _require_mapping(op_node, "topology.operators[]")
+    for i, op_node in enumerate(node.get("operators", [])):
+        where = f"topology.operators[{i}]"
+        op_node = _known_node(op_node, where, ("name", "parameters", "granularity"))
         params = []
-        for p_node in op_node.get("parameters", []):
-            p_node = _require_mapping(p_node, "parameter")
+        for j, p_node in enumerate(op_node.get("parameters", [])):
+            p_node = _known_node(p_node, f"{where}.parameters[{j}]", ("name", "values"))
             try:
                 params.append(
                     ParameterSpec(
@@ -152,10 +153,12 @@ def _parse_topology(node: Any) -> ServiceTopology:
 
 
 def _parse_requirement(node: Any) -> Requirement:
-    node = _require_mapping(node, "requirement")
+    node = _known_node(
+        node, "requirement", ("objective_metric", "objective_sense", "constraints")
+    )
     constraints = []
-    for c_node in node.get("constraints", []):
-        c_node = _require_mapping(c_node, "constraint")
+    for i, c_node in enumerate(node.get("constraints", [])):
+        c_node = _known_node(c_node, f"requirement.constraints[{i}]", ("metric", "target"))
         try:
             constraints.append(
                 ConstraintSpec(
@@ -176,7 +179,11 @@ def _parse_requirement(node: Any) -> Requirement:
 
 
 def _parse_model(node: Any) -> SyntheticProfileModel:
-    node = _require_mapping(node, "profile.model")
+    node = _known_node(
+        node,
+        "profile.model",
+        ("latency_floor", "per_face_slope", "latency_weights", "objective_weights"),
+    )
     try:
         return SyntheticProfileModel(
             latency_weights={
@@ -209,8 +216,20 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     return parse_config(raw, base_dir=Path(path).parent if path else Path.cwd())
 
 
+def _base_seed(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"base_seed must be a non-negative integer, got {value!r}")
+    return value
+
+
 def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> ExperimentConfig:
     base_dir = base_dir or Path.cwd()
+    raw = _known_node(
+        raw,
+        "the top level",
+        ("topology", "requirement", "profile", "controller", "trace", "cpu",
+         "runs", "base_seed", "reference_input", "out_dir"),
+    )
 
     topology = (
         _parse_topology(raw["topology"]) if "topology" in raw else defaults.default_topology()
@@ -221,7 +240,9 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         else defaults.default_requirement()
     )
 
-    profile_node = _require_mapping(raw.get("profile", {}), "profile")
+    profile_node = _known_node(
+        raw.get("profile", {}), "profile", ("source", "path", "input_sizes", "model")
+    )
     input_sizes = tuple(
         int(s) for s in profile_node.get("input_sizes", defaults.DEFAULT_INPUT_SIZES)
     )
@@ -242,7 +263,9 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     else:
         raise ConfigError(f"unknown profile source {source!r}")
 
-    controller_node = _require_mapping(raw.get("controller", {}), "controller")
+    controller_node = _known_node(
+        raw.get("controller", {}), "controller", ("kinds", "actions", "heuristic", "learning")
+    )
     controllers = [str(c) for c in controller_node.get("kinds", list(CONTROLLER_KINDS))]
     for c in controllers:
         if c not in CONTROLLER_KINDS:
@@ -263,7 +286,9 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     if action_count != "all":
         action_count = int(action_count)
 
-    trace_node = _require_mapping(raw.get("trace", {}), "trace")
+    trace_node = _known_node(
+        raw.get("trace", {}), "trace", ("kinds", "random_length", "full_day_schedule")
+    )
     trace_kinds = [str(t).replace("-", "_") for t in trace_node.get("kinds", ["variable"])]
     for t in trace_kinds:
         if t not in TRACE_KINDS:
@@ -292,7 +317,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         learning_params=learning_params,
         action_count=action_count,
         runs=int(raw.get("runs", 50)),
-        base_seed=int(raw.get("base_seed", 0)),
+        base_seed=_base_seed(raw.get("base_seed", 0)),
         reference_input=None if reference_input is None else int(reference_input),
         out_dir=out_dir,
         random_trace_length=int(trace_node.get("random_length", 1000)),

@@ -214,7 +214,10 @@ def q_update(
         raise IndexError(f"action {action} out of range [0, {cols})")
     values = table.values
     current = values.item(prev_state, action)
-    target = reward_value + params.gamma * max(values[next_state].tolist())
+    # The element at argmax, not row.max(): a zero maximum keeps the sign of
+    # its first occurrence.
+    row = values[next_state]
+    target = reward_value + params.gamma * row.item(row.argmax())
     values[prev_state, action] = current + params.alpha * (target - current)
     table.visit_counts[prev_state, action] += 1
     return table
@@ -223,13 +226,15 @@ def q_update(
 def select_action(
     table: QTable, state: int, epsilon: float, rng: np.random.Generator
 ) -> int:
-    """Epsilon-greedy: explore uniformly, otherwise argmax (ties: lowest index)."""
+    """Epsilon-greedy: explore uniformly, otherwise argmax (ties: lowest index).
+
+    The row must be finite: numpy's argmax picks a NaN, Python's max may not.
+    """
     if not 0 <= state < table.state_count:
         raise IndexError(f"state {state} out of range [0, {table.state_count})")
     if float(rng.random()) < epsilon:
         return int(rng.integers(table.action_count))
-    row = table.values[state].tolist()
-    return row.index(max(row))
+    return int(table.values[state].argmax())
 
 
 def _spell_rows(matrix: np.ndarray, nonzero: np.ndarray, zero: str, spell) -> list[str]:

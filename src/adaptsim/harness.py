@@ -148,6 +148,8 @@ class ExperimentSpec:
             )
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed}")
         self.out_dir = Path(self.out_dir)
         self.qtable_path = (
             self.out_dir / "qtable.txt" if self.qtable_path is None else Path(self.qtable_path)

@@ -15,6 +15,7 @@ one frame, and stepping past the end of the trace raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -66,6 +67,9 @@ class CpuChainParams:
             raise ValueError("need 0 < min_avail <= max_avail <= 1")
         if not 0 <= self.change_prob <= 1:
             raise ValueError("change_prob must be in [0, 1]")
+        for name in ("delta_mean", "delta_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_stddev < 0:
             raise ValueError("delta_stddev must be >= 0")
 

@@ -256,6 +256,12 @@ def test_cli_run_rejects_zero_random_trace_length(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _run_config(tmp_path, config_text, *extra):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(config_text)
+    return main(["run", "--config", str(exp), "--out", str(tmp_path / "out"), *extra])
+
+
 @pytest.mark.parametrize(
     "section, key, config_text",
     [
@@ -264,15 +270,64 @@ def test_cli_run_rejects_zero_random_trace_length(tmp_path, capsys):
         ("controller.learning", "alfa",
          MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning:\n    alfa: 0.2\n")),
         ("cpu", "chnge_prob", MINIMAL_TOPOLOGY + "cpu:\n  chnge_prob: 0.2\n"),
+        ("the top level", "runz", MINIMAL_TOPOLOGY + "runz: 5\n"),
+        ("topology", "nme", MINIMAL_TOPOLOGY.replace("  name: doc_pipeline", "  nme: doc")),
+        ("topology.operators[0]", "granularty",
+         MINIMAL_TOPOLOGY.replace("granularity: 2", "granularty: 2")),
+        ("topology.operators[0].parameters[1]", "valuez",
+         MINIMAL_TOPOLOGY.replace("values: [small, large]", "valuez: [small, large]")),
+        ("requirement", "objective_metrc",
+         MINIMAL_TOPOLOGY.replace("objective_metric: accuracy", "objective_metrc: accuracy")),
+        ("requirement.constraints[0]", "targt",
+         MINIMAL_TOPOLOGY.replace("target: 2.0", "targt: 2.0")),
+        ("profile", "sourc", MINIMAL_TOPOLOGY.replace("source: synthetic", "sourc: synthetic")),
+        ("profile.model", "latency_flor",
+         MINIMAL_TOPOLOGY.replace("latency_floor: 0.2", "latency_flor: 0.2")),
+        ("controller", "kind",
+         MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]", "kind: [heuristic]")),
+        ("trace", "kind", MINIMAL_TOPOLOGY.replace("kinds: [random]", "kind: [random]")),
     ],
-    ids=["heuristic", "learning", "cpu"],
+    ids=["heuristic", "learning", "cpu", "top", "topology", "operator", "parameter",
+         "requirement", "constraint", "profile", "model", "controller", "trace"],
 )
 def test_cli_run_rejects_unknown_parameter_key(tmp_path, capsys, section, key, config_text):
-    exp = tmp_path / "exp.yaml"
-    exp.write_text(config_text)
-    status = main(["run", "--config", str(exp), "--out", str(tmp_path / "out")])
+    status = _run_config(tmp_path, config_text)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    assert f"unknown key {key!r} under {section};" in captured.err, captured.err
+    assert "running" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["delta_mean", "delta_stddev"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_cli_run_rejects_non_finite_cpu_delta(tmp_path, capsys, field, value):
+    status = _run_config(tmp_path, MINIMAL_TOPOLOGY + f"cpu:\n  {field}: {value}\n")
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert repr(key) in err and section in err, err
+    assert field in err and "finite" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config_text, extra",
+    [
+        (MINIMAL_TOPOLOGY.replace("base_seed: 3", "base_seed: -1"), []),
+        (MINIMAL_TOPOLOGY.replace("base_seed: 3", "base_seed: 2.5"), []),
+        (MINIMAL_TOPOLOGY.replace("base_seed: 3", "base_seed: seven"), []),
+        (MINIMAL_TOPOLOGY, ["--seed", "-1"]),
+    ],
+    ids=["negative", "fraction", "text", "cli-negative"],
+)
+def test_cli_run_rejects_bad_base_seed_before_any_campaign(
+    tmp_path, capsys, config_text, extra
+):
+    status = _run_config(tmp_path, config_text, *extra)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    assert "base_seed" in captured.err, captured.err
+    assert "running" not in captured.out
     assert not (tmp_path / "out").exists()

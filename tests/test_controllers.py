@@ -148,6 +148,13 @@ def test_reward_branches_are_exclusive_and_bounded():
 
 # --- Q table and update -------------------------------------------------------
 
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
 
 def test_q_update_examples():
     params = LearningParams(alpha=0.1, gamma=0.9)
@@ -195,6 +202,11 @@ def test_select_action_greedy_and_tiebreak():
     assert select_action(table, 0, 0.0, rng) == 1
     table.values[1] = [0.4, 0.4, 0.4]
     assert select_action(table, 1, 0.0, rng) == 0
+    table = QTable.zeros("v1", 2)
+    table.values[0] = [-0.0, 0.0]  # equal: the lower index wins, whatever the sign
+    assert select_action(table, 0, 0.0, rng) == 0
+    table.values[1] = [0.0, -0.0]
+    assert select_action(table, 1, 0.0, rng) == 0
 
 
 def test_select_action_uniform_under_full_exploration():
@@ -215,6 +227,63 @@ def test_greedy_argmax_invariant_under_row_shift():
     before = select_action(table, 2, 0.0, rng)
     table.values[2] += 17.25
     assert select_action(table, 2, 0.0, rng) == before
+
+
+def _reference_q_update(table, prev_state, action, reward_value, next_state, params):
+    """The original list-based update: the greedy value is Python's max."""
+    values = table.values
+    current = values.item(prev_state, action)
+    target = reward_value + params.gamma * max(values[next_state].tolist())
+    values[prev_state, action] = current + params.alpha * (target - current)
+    table.visit_counts[prev_state, action] += 1
+    return table
+
+
+def _reference_select_action(table, state, epsilon, rng):
+    """The original list-based epsilon-greedy choice."""
+    if float(rng.random()) < epsilon:
+        return int(rng.integers(table.action_count))
+    row = table.values[state].tolist()
+    return row.index(max(row))
+
+
+@st.composite
+def _greedy_cases(draw):
+    """A two-row table (finite rows of width 1-600, often with ties) and an update."""
+    cols = draw(st.integers(1, 600))
+    # The fill is one value repeated, so most rows hold ties.
+    values = draw(hnp.arrays(np.float64, (2, cols), elements=_FINITE_FLOATS,
+                             fill=st.sampled_from(_EDGE_FLOATS)))
+    visits = draw(hnp.arrays(np.int64, (2, cols), elements=st.integers(0, 10**6)))
+    table = QTable("v1", values, visits)
+    prev_state, next_state = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+    action = draw(st.integers(0, cols - 1))
+    reward_value = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3))
+    params = LearningParams(alpha=draw(st.floats(1e-3, 1.0)), gamma=draw(st.floats(0.0, 0.999)))
+    epsilon = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return table, prev_state, action, reward_value, next_state, params, epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_greedy_cases(), seed=st.integers(0, 2**32 - 1))
+def test_greedy_lookups_match_list_reference(case, seed):
+    table, prev_state, action, reward_value, next_state, params, epsilon = case
+    expected = table.copy()
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert select_action(table, next_state, epsilon, rng) == _reference_select_action(
+        expected, next_state, epsilon, reference_rng
+    )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state  # same draws
+    assert select_action(table, next_state, 0.0, rng) == _reference_select_action(
+        expected, next_state, 0.0, reference_rng
+    )
+    q_update(table, prev_state, action, reward_value, next_state, params)
+    _reference_q_update(expected, prev_state, action, reward_value, next_state, params)
+    assert table.values.view(np.int64)[prev_state, action] == (
+        expected.values.view(np.int64)[prev_state, action]
+    )
+    assert np.array_equal(table.values.view(np.int64), expected.values.view(np.int64))
+    assert np.array_equal(table.visit_counts, expected.visit_counts)
 
 
 def test_qtable_roundtrip_bit_exact(tmp_path):
@@ -262,13 +331,6 @@ def _reference_qtable_text(table):
     for row in table.visit_counts:
         lines.append(" ".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-_FINITE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     1.7976931348623157e308, -1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
 
 
 @st.composite
