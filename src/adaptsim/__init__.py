@@ -67,7 +67,6 @@ from .simenv import (
     InputTrace,
     ScriptedCpu,
     StepOutcome,
-    cpu_step,
     custom_trace,
     make_trace,
 )

@@ -14,26 +14,18 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import defaults
 from .config import ConfigError, load_config
-from .controllers import make_action_space
 from .harness import (
     CONTROLLER_KINDS,
-    RL_KINDS,
     CampaignResult,
     emit_report,
     measure_overhead,
     recompute_metrics_from_trace,
     run_experiment,
 )
-from .profiling import (
-    ProfileError,
-    generate_synthetic_profile,
-    load_profile,
-    save_profile,
-    validate_profile_coverage,
-)
+from .profiling import ProfileError, load_profile, save_profile, validate_profile_coverage
 from .service_model import enumerate_configurations, sort_by_objective
+from .simenv import TRACE_KINDS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -69,12 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--trace",
         action="append",
-        choices=["fixed", "variable", "full-day", "random"],
+        type=lambda kind: kind.replace("-", "_"),
+        choices=TRACE_KINDS,
         default=None,
-        help="run only this trace (repeatable)",
+        help="run only this trace (repeatable; full-day and full_day both work)",
     )
 
-    p_overhead = sub.add_parser("overhead", help="per-decision timing report")
+    p_overhead = sub.add_parser(
+        "overhead",
+        help="per-decision timing report",
+        description="Time each controller's decisions over one random-trace episode of the "
+        "service that --config declares: its topology, requirement, profile and "
+        "controller.actions.",
+    )
     _add_common(p_overhead)
     p_overhead.add_argument("--steps", type=int, default=20000)
     p_overhead.add_argument(
@@ -118,10 +117,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    traces = [t.replace("-", "_") for t in args.trace] if args.trace else None
     specs = cfg.campaign_specs(
         controllers=args.controller,
-        trace_kinds=traces,
+        trace_kinds=args.trace,
         out_dir=args.out,
         runs=args.runs,
         base_seed=args.seed,
@@ -150,11 +148,18 @@ def _print_summary(results: list[CampaignResult]) -> None:
 
 
 def _cmd_overhead(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     kinds = args.controller or ["heuristic", "rl2"]
     print(f"{'controller':>12} {'median ms':>10} {'p99 ms':>10} {'impact %':>9}")
     for kind in kinds:
         report = measure_overhead(
-            kind, steps=args.steps, reference_frame_s=args.reference_frame_ms / 1000.0
+            kind,
+            steps=args.steps,
+            reference_frame_s=args.reference_frame_ms / 1000.0,
+            action_count=cfg.action_count,
+            profile=cfg.profile,
+            topology=cfg.topology,
+            requirement=cfg.requirement,
         )
         print(
             f"{kind:>12} {report.decide_median_s * 1e3:>10.4f} "
@@ -179,7 +184,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             continue
         name = campaign_dir.name
         controller = trace_kind = ""
-        for kind in ("fixed", "variable", "full_day", "random", "custom"):
+        for kind in (*TRACE_KINDS, "custom"):
             if name.endswith(f"_{kind}"):
                 controller, trace_kind = name[: -len(kind) - 1], kind
                 break

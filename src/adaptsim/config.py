@@ -12,7 +12,7 @@ unknown key, at the top level or in any section, is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -59,7 +59,6 @@ class ExperimentConfig:
     out_dir: Path
     random_trace_length: int
     full_day_schedule: dict[int, int] | None = None
-    input_sizes: tuple[int, ...] = defaults.DEFAULT_INPUT_SIZES
 
     def trace(self, kind: str) -> InputTrace:
         return make_trace(
@@ -126,7 +125,7 @@ def _parse_topology(node: Any) -> ServiceTopology:
     operators = []
     for i, op_node in enumerate(node.get("operators", [])):
         where = f"topology.operators[{i}]"
-        op_node = _known_node(op_node, where, ("name", "parameters", "granularity"))
+        op_node = _known_node(op_node, where, ("name", "parameters"))
         params = []
         for j, p_node in enumerate(op_node.get("parameters", [])):
             p_node = _known_node(p_node, f"{where}.parameters[{j}]", ("name", "values"))
@@ -143,7 +142,6 @@ def _parse_topology(node: Any) -> ServiceTopology:
             OperatorSpec(
                 name=str(op_node.get("name", f"op{len(operators)}")),
                 parameters=tuple(params),
-                granularity=int(op_node.get("granularity", 1)),
             )
         )
     try:
@@ -216,9 +214,11 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     return parse_config(raw, base_dir=Path(path).parent if path else Path.cwd())
 
 
-def _base_seed(value: Any) -> int:
+def _integer(value: Any, key: str) -> int:
+    """``value`` itself if it is a non-negative integer; bools, floats and
+    strings are refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"base_seed must be a non-negative integer, got {value!r}")
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -243,9 +243,10 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     profile_node = _known_node(
         raw.get("profile", {}), "profile", ("source", "path", "input_sizes", "model")
     )
-    input_sizes = tuple(
-        int(s) for s in profile_node.get("input_sizes", defaults.DEFAULT_INPUT_SIZES)
-    )
+    input_sizes = [
+        _integer(s, "profile.input_sizes")
+        for s in profile_node.get("input_sizes", defaults.DEFAULT_INPUT_SIZES)
+    ]
     source = profile_node.get("source", "synthetic")
     if source == "synthetic":
         model_node = profile_node.get("model", "default")
@@ -259,7 +260,6 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
             profile_path = base_dir / profile_path
         profile = load_profile(profile_path)
         validate_profile_coverage(profile, topology)
-        input_sizes = profile.input_sizes
     else:
         raise ConfigError(f"unknown profile source {source!r}")
 
@@ -273,18 +273,16 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     heuristic_node = _params_node(
         controller_node.get("heuristic", {}), HeuristicParams, "controller.heuristic"
     )
-    heuristic_params = HeuristicParams(**{k: int(v) for k, v in heuristic_node.items()})
-    learning_node = dict(
-        _params_node(controller_node.get("learning", {}), LearningParams, "controller.learning")
+    heuristic_params = HeuristicParams(
+        **{k: _integer(v, f"controller.heuristic.{k}") for k, v in heuristic_node.items()}
     )
-    if "seed" in learning_node and learning_node["seed"] is not None:
-        learning_node["seed"] = int(learning_node["seed"])
-    learning_params = LearningParams(
-        **{k: (float(v) if k != "seed" else v) for k, v in learning_node.items()}
+    learning_node = _params_node(
+        controller_node.get("learning", {}), LearningParams, "controller.learning"
     )
+    learning_params = LearningParams(**{k: float(v) for k, v in learning_node.items()})
     action_count: int | str = controller_node.get("actions", 16)
     if action_count != "all":
-        action_count = int(action_count)
+        action_count = _integer(action_count, "controller.actions")
 
     trace_node = _known_node(
         raw.get("trace", {}), "trace", ("kinds", "random_length", "full_day_schedule")
@@ -294,9 +292,10 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         if t not in TRACE_KINDS:
             raise ConfigError(f"unknown trace kind {t!r}; pick from {TRACE_KINDS}")
     schedule_node = trace_node.get("full_day_schedule")
-    schedule = (
-        {int(h): int(f) for h, f in schedule_node.items()} if schedule_node else None
-    )
+    schedule = None
+    if schedule_node:
+        where = "trace.full_day_schedule"
+        schedule = {_integer(h, where): _integer(f, where) for h, f in schedule_node.items()}
 
     cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
     cpu_params = CpuChainParams(**{k: float(v) for k, v in cpu_node.items()})
@@ -306,6 +305,8 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         out_dir = base_dir / out_dir
 
     reference_input = raw.get("reference_input")
+    if reference_input is not None:
+        reference_input = _integer(reference_input, "reference_input")
     return ExperimentConfig(
         topology=topology,
         requirement=requirement,
@@ -316,11 +317,12 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         heuristic_params=heuristic_params,
         learning_params=learning_params,
         action_count=action_count,
-        runs=int(raw.get("runs", 50)),
-        base_seed=_base_seed(raw.get("base_seed", 0)),
-        reference_input=None if reference_input is None else int(reference_input),
+        runs=_integer(raw.get("runs", 50), "runs"),
+        base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
+        reference_input=reference_input,
         out_dir=out_dir,
-        random_trace_length=int(trace_node.get("random_length", 1000)),
+        random_trace_length=_integer(
+            trace_node.get("random_length", 1000), "trace.random_length"
+        ),
         full_day_schedule=schedule,
-        input_sizes=input_sizes,
     )

@@ -27,8 +27,6 @@ import numpy as np
 
 from .service_model import Configuration, Requirement
 
-ENCODERS = ("v1", "v2")
-
 _LATENCY_BINS = 3
 _CPU_BINS = 3
 
@@ -66,7 +64,6 @@ class LearningParams:
     epsilon_start: float = 1.0
     epsilon_min: float = 0.05
     epsilon_decay: float = 0.995
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
@@ -120,21 +117,18 @@ def encode_state_v2(obs: ControllerObservation, action_count: int) -> int:
     return packed * action_count + obs.last_config_ordinal
 
 
+# encoder -> (state function, context bins per action)
+_ENCODE = {
+    "v1": (encode_state_v1, _LATENCY_BINS),
+    "v2": (encode_state_v2, _LATENCY_BINS * _CPU_BINS),
+}
+ENCODERS = tuple(_ENCODE)
+
+
 def state_count(encoder: str, action_count: int) -> int:
-    if encoder == "v1":
-        return _LATENCY_BINS * action_count
-    if encoder == "v2":
-        return _LATENCY_BINS * _CPU_BINS * action_count
-    raise ValueError(f"unknown state encoder {encoder!r}")
-
-
-_ENCODE = {"v1": encode_state_v1, "v2": encode_state_v2}
-
-
-def encode_state(encoder: str, obs: ControllerObservation, action_count: int) -> int:
     if encoder not in _ENCODE:
         raise ValueError(f"unknown state encoder {encoder!r}")
-    return _ENCODE[encoder](obs, action_count)
+    return _ENCODE[encoder][1] * action_count
 
 
 def reward(obs: ControllerObservation, requirement: Requirement) -> float:
@@ -523,11 +517,11 @@ class QLearningController:
             )
         self.name = name or f"rl-{encoder}"
         self.encoder = encoder
-        self._encode = _ENCODE[encoder]
+        self._encode = _ENCODE[encoder][0]
         self.table = table
         self.requirement = requirement
         self.params = params or LearningParams()
-        self._rng = rng if rng is not None else np.random.default_rng(self.params.seed)
+        self._rng = rng if rng is not None else np.random.default_rng()
         self._epsilon = self._resumed_epsilon()
         self._prev: tuple[int, int] | None = None
 

@@ -45,7 +45,7 @@ from .service_model import (
     enumerate_configurations,
     sort_by_objective,
 )
-from .simenv import CpuChainParams, Environment, InputTrace, latency_target
+from .simenv import TRACE_KINDS, CpuChainParams, Environment, InputTrace, latency_target
 
 CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
 RL_KINDS = ("rl1", "rl2")
@@ -139,7 +139,6 @@ class ExperimentSpec:
     runs: int = 50
     base_seed: int = 0
     reference_input: int | None = None
-    qtable_path: Path | None = None
 
     def __post_init__(self) -> None:
         if self.controller not in CONTROLLER_KINDS:
@@ -151,9 +150,11 @@ class ExperimentSpec:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed}")
         self.out_dir = Path(self.out_dir)
-        self.qtable_path = (
-            self.out_dir / "qtable.txt" if self.qtable_path is None else Path(self.qtable_path)
-        )
+
+    @property
+    def qtable_path(self) -> Path:
+        """Where a learning controller persists its table between runs."""
+        return self.out_dir / "qtable.txt"
 
     @property
     def reference_size(self) -> int:
@@ -438,7 +439,7 @@ def measure_overhead(
     steps: int = 20000,
     warmup: int = 1000,
     reference_frame_s: float = 0.070,
-    action_count: int = 16,
+    action_count: int | str = 16,
     seed: int = 7,
     profile: ProfileTable | None = None,
     topology: ServiceTopology | None = None,
@@ -468,7 +469,7 @@ def measure_overhead(
     trace = make_trace("random", length=warmup + steps)
     reference = profile.input_sizes[0]
     configs = sort_by_objective(
-        enumerate_configurations(topology), profile, reference
+        enumerate_configurations(topology), profile, reference, sense=requirement.objective_sense
     )
     actions = make_action_space(configs, action_count)
     env = Environment(profile, requirement, trace)
@@ -509,13 +510,10 @@ def emit_report(results: Sequence[CampaignResult], out_dir: str | Path) -> dict[
     def _canonical(known: tuple[str, ...]):
         return lambda name: (known.index(name) if name in known else len(known), name)
 
-    trace_order = ("fixed", "variable", "full_day", "random")
     controllers = sorted(
         dict.fromkeys(r.controller for r in results), key=_canonical(CONTROLLER_KINDS)
     )
-    traces = sorted(
-        dict.fromkeys(r.trace_kind for r in results), key=_canonical(trace_order)
-    )
+    traces = sorted(dict.fromkeys(r.trace_kind for r in results), key=_canonical(TRACE_KINDS))
     objective_metric = results[0].objective_metric
     by_key = {(r.controller, r.trace_kind): r for r in results}
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -116,12 +116,6 @@ class ProfileTable:
         """All profiled assignment vectors, in lexicographic order."""
         return sorted(self._latencies)
 
-    def __len__(self) -> int:
-        return len(self._latencies) * len(self._input_sizes)
-
-    def __contains__(self, config: ConfigLike) -> bool:
-        return _as_key(config) in self._latencies
-
     def entry(self, config: ConfigLike, input_size: int) -> ProfileEntry:
         """The stored entry at an exactly profiled input size."""
         key = _as_key(config)
@@ -179,9 +173,9 @@ class SyntheticProfileModel:
 
     Latency is additive: a floor, plus a weight per chosen parameter value,
     plus a per-face slope times the input size.  The objective is the sum of
-    the chosen values' objective weights, clipped to [0, 1].  Latency weights
-    and the slope must be non-negative so generated latencies stay positive
-    and non-decreasing in input size.
+    the chosen values' objective weights, clipped to [0, 1].  Every number
+    must be finite; latency weights and the slope must also be non-negative
+    so generated latencies stay positive and non-decreasing in input size.
     """
 
     latency_weights: Mapping[str, Mapping[str, float]]
@@ -190,16 +184,21 @@ class SyntheticProfileModel:
     latency_floor: float
 
     def __post_init__(self) -> None:
-        if self.latency_floor <= 0:
-            raise ProfileError("latency_floor must be > 0")
-        if self.per_face_slope < 0:
-            raise ProfileError("per_face_slope must be >= 0")
-        for param, weights in self.latency_weights.items():
-            for label, w in weights.items():
-                if w < 0:
-                    raise ProfileError(
-                        f"negative latency weight for {param}={label}: {w}"
-                    )
+        floor, slope = self.latency_floor, self.per_face_slope
+        if not (math.isfinite(floor) and floor > 0):
+            raise ProfileError(f"latency_floor must be a finite number > 0, got {floor}")
+        if not (math.isfinite(slope) and slope >= 0):
+            raise ProfileError(f"per_face_slope must be a finite number >= 0, got {slope}")
+        for kind, table in (("latency", self.latency_weights),
+                            ("objective", self.objective_weights)):
+            for param, weights in table.items():
+                for label, w in weights.items():
+                    if not math.isfinite(w):
+                        raise ProfileError(
+                            f"{kind} weight for {param}={label} must be finite, got {w}"
+                        )
+                    if kind == "latency" and w < 0:
+                        raise ProfileError(f"negative latency weight for {param}={label}: {w}")
 
     def base_latency(self, labels: Sequence[tuple[str, str]], input_size: int) -> float:
         total = self.latency_floor + self.per_face_slope * input_size

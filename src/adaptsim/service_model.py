@@ -45,15 +45,10 @@ class ParameterSpec:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A processing function of the pipeline with its parameters.
-
-    ``granularity`` (how many instances to spawn) is accepted so topology
-    files round-trip, but the simulator always runs a single instance.
-    """
+    """A processing function of the pipeline with its parameters."""
 
     name: str
     parameters: tuple[ParameterSpec, ...]
-    granularity: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameters", tuple(self.parameters))
@@ -111,7 +106,6 @@ class ConstraintSpec:
 
     metric: str
     target: float
-    direction: str = "upper"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.target) and self.target > 0):
@@ -119,8 +113,6 @@ class ConstraintSpec:
                 f"constraint {self.metric!r} target must be a finite number > 0, "
                 f"got {self.target}"
             )
-        if self.direction != "upper":
-            raise ValueError("only upper-bound constraints are supported")
 
 
 @dataclass(frozen=True)

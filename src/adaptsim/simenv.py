@@ -17,21 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_INPUT_SIZES
 from .profiling import ProfileTable
 from .service_model import Configuration, Requirement
-
-DEFAULT_INPUT_CANDIDATES = (6, 12, 24, 48, 96, 192)
 
 FIXED_TRACE_FACES = 48
 FIXED_TRACE_STEPS = 1000
 VARIABLE_BLOCK_FACES = (6, 12, 24, 48, 96, 192, 96, 48, 24, 12, 6)
 VARIABLE_BLOCK_STEPS = 100
 FULL_DAY_STEPS = 86400
+RANDOM_CHANGE_PROB = 0.1
 
 # Hour-of-day -> faces per frame for the full-day trace: quiet nights,
 # commuter peaks in the morning and late afternoon.
@@ -72,17 +71,6 @@ class CpuChainParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_stddev < 0:
             raise ValueError("delta_stddev must be >= 0")
-
-
-def cpu_step(avail: float, params: CpuChainParams, rng: np.random.Generator) -> float:
-    """Advance the availability chain by one step from ``avail``.
-
-    See :meth:`CpuChain.step`, which holds the draw logic.
-    """
-    chain = CpuChain(params)
-    chain._value = avail
-    chain._rng = rng
-    return chain.step()
 
 
 class CpuChain:
@@ -163,17 +151,13 @@ class InputTrace:
     """Per-step input sizes (faces per frame) for one episode.
 
     Deterministic kinds carry their sizes explicitly.  The ``random`` kind
-    carries a candidate set and a change probability; sizes are drawn at
-    reset time from the episode RNG (or from ``seed`` when pinned, in which
-    case every episode sees the same draw).
+    carries only its length; its sizes are drawn at reset time from the
+    episode RNG.
     """
 
     kind: str
     sizes: tuple[int, ...] | None = None
-    candidates: tuple[int, ...] = DEFAULT_INPUT_CANDIDATES
-    change_prob: float = 0.1
     length: int = 0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.sizes is not None:
@@ -186,17 +170,15 @@ class InputTrace:
         """Concrete per-step sizes for one episode."""
         if self.sizes is not None:
             return self.sizes
-        if self.seed is not None:
-            rng = np.random.default_rng(self.seed)
-        sizes = [int(rng.integers(len(self.candidates)))]
+        n = len(DEFAULT_INPUT_SIZES)
+        sizes = [int(rng.integers(n))]
         for _ in range(self.length - 1):
-            if float(rng.random()) < self.change_prob:
+            if float(rng.random()) < RANDOM_CHANGE_PROB:
                 # A change always switches to a different size.
-                step = 1 + int(rng.integers(len(self.candidates) - 1))
-                sizes.append((sizes[-1] + step) % len(self.candidates))
+                sizes.append((sizes[-1] + 1 + int(rng.integers(n - 1))) % n)
             else:
                 sizes.append(sizes[-1])
-        return tuple(self.candidates[i] for i in sizes)
+        return tuple(DEFAULT_INPUT_SIZES[i] for i in sizes)
 
 
 def make_trace(
@@ -204,17 +186,15 @@ def make_trace(
     *,
     length: int | None = None,
     schedule: Mapping[int, int] | None = None,
-    candidates: Sequence[int] = DEFAULT_INPUT_CANDIDATES,
-    change_prob: float = 0.1,
-    seed: int | None = None,
 ) -> InputTrace:
     """Build one of the standard input traces.
 
     fixed     1000 frames of 48 faces.
     variable  11 blocks of 100 frames: 6, 12, 24, 48, 96, 192, 96, 48, 24, 12, 6.
     full_day  86400 frames (one per second) following an hourly schedule.
-    random    keeps the previous size with probability 1 - change_prob,
-              otherwise switches to a different candidate size.
+    random    ``length`` frames (default 1000) over DEFAULT_INPUT_SIZES:
+              each frame keeps the previous size with probability 0.9,
+              otherwise switches to a different one.
     """
     if kind == "fixed":
         return InputTrace(kind=kind, sizes=(FIXED_TRACE_FACES,) * FIXED_TRACE_STEPS)
@@ -230,15 +210,7 @@ def make_trace(
         sizes = [table[second // 3600] for second in range(FULL_DAY_STEPS)]
         return InputTrace(kind=kind, sizes=tuple(sizes))
     if kind == "random":
-        if len(set(candidates)) < 2:
-            raise ValueError("random trace needs at least two candidate sizes")
-        return InputTrace(
-            kind=kind,
-            candidates=tuple(int(c) for c in candidates),
-            change_prob=change_prob,
-            length=1000 if length is None else int(length),
-            seed=seed,
-        )
+        return InputTrace(kind=kind, length=1000 if length is None else int(length))
     raise ValueError(f"unknown trace kind {kind!r}")
 
 
@@ -351,25 +323,3 @@ class Environment:
             action.ordinal,
         )
         return StepOutcome(latency, objective, (latency <= self._target,), observation, done)
-
-
-def export_input_trace(
-    trace: InputTrace, path: str | Path, seed: int | None = None
-) -> None:
-    """Write per-step (step, input_size) records for audit."""
-    sizes = trace.materialize(np.random.default_rng(seed))
-    lines = ["step,input_size"]
-    lines.extend(f"{i},{s}" for i, s in enumerate(sizes))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def export_cpu_trace(
-    params: CpuChainParams, steps: int, path: str | Path, seed: int | None = None
-) -> None:
-    """Roll the availability chain for ``steps`` steps and write (step, cpu)."""
-    chain = CpuChain(params)
-    chain.reset(np.random.default_rng(seed))
-    lines = ["step,cpu_availability", f"0,{chain.value!r}"]
-    for i in range(1, steps):
-        lines.append(f"{i},{chain.step()!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

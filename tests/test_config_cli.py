@@ -2,15 +2,15 @@ import filecmp
 
 import pytest
 
-from adaptsim.cli import main
+from adaptsim.cli import build_parser, main
 from adaptsim.config import ConfigError, load_config
+from adaptsim.harness import measure_overhead
 
 MINIMAL_TOPOLOGY = """\
 topology:
   name: doc_pipeline
   operators:
     - name: ocr
-      granularity: 2
       parameters:
         - name: dpi
           values: ["150", "300"]
@@ -141,6 +141,11 @@ def test_cli_run_and_report_roundtrip(tmp_path, capsys):
     assert (out_root / "static-hp_random" / "runs" / "run_000.csv").exists()
 
 
+def test_cli_run_trace_takes_either_spelling():
+    args = build_parser().parse_args(["run", "--trace", "full-day", "--trace", "full_day"])
+    assert args.trace == ["full_day", "full_day"]
+
+
 def test_cli_run_overrides(tmp_path):
     exp = tmp_path / "exp.yaml"
     exp.write_text(MINIMAL_TOPOLOGY)
@@ -186,6 +191,39 @@ def test_cli_overhead(capsys):
     out = capsys.readouterr().out
     assert "heuristic" in out
     assert "impact" in out
+
+
+def test_cli_overhead_rejects_missing_config(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.yaml"
+    status = main(["overhead", "--config", str(missing), "--steps", "50",
+                   "--controller", "heuristic"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "nonexistent.yaml" in err
+
+
+def test_cli_overhead_times_the_configured_service(tmp_path, capsys, monkeypatch):
+    from adaptsim import cli
+
+    seen = []
+
+    def spy(kind, **kwargs):
+        seen.append(kwargs)
+        return measure_overhead(kind, **kwargs)
+
+    monkeypatch.setattr(cli, "measure_overhead", spy)
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    assert main(["overhead", "--config", str(exp), "--steps", "50",
+                 "--controller", "heuristic", "--controller", "rl2"]) == 0
+    assert "rl2" in capsys.readouterr().out
+    assert len(seen) == 2
+    for kwargs in seen:
+        assert kwargs["topology"].configuration_count == 4
+        assert kwargs["requirement"].constraints[0].target == 2.0
+        assert kwargs["profile"].input_sizes == (1, 4, 16)
+        assert kwargs["action_count"] == "all"
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -273,7 +311,11 @@ def _run_config(tmp_path, config_text, *extra):
         ("the top level", "runz", MINIMAL_TOPOLOGY + "runz: 5\n"),
         ("topology", "nme", MINIMAL_TOPOLOGY.replace("  name: doc_pipeline", "  nme: doc")),
         ("topology.operators[0]", "granularty",
-         MINIMAL_TOPOLOGY.replace("granularity: 2", "granularty: 2")),
+         MINIMAL_TOPOLOGY.replace("- name: ocr\n", "- name: ocr\n      granularty: 2\n")),
+        ("topology.operators[0]", "granularity",
+         MINIMAL_TOPOLOGY.replace("- name: ocr\n", "- name: ocr\n      granularity: 2\n")),
+        ("controller.learning", "seed",
+         MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning:\n    seed: 5\n")),
         ("topology.operators[0].parameters[1]", "valuez",
          MINIMAL_TOPOLOGY.replace("values: [small, large]", "valuez: [small, large]")),
         ("requirement", "objective_metrc",
@@ -287,8 +329,9 @@ def _run_config(tmp_path, config_text, *extra):
          MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]", "kind: [heuristic]")),
         ("trace", "kind", MINIMAL_TOPOLOGY.replace("kinds: [random]", "kind: [random]")),
     ],
-    ids=["heuristic", "learning", "cpu", "top", "topology", "operator", "parameter",
-         "requirement", "constraint", "profile", "model", "controller", "trace"],
+    ids=["heuristic", "learning", "cpu", "top", "topology", "operator", "granularity",
+         "learning-seed", "parameter", "requirement", "constraint", "profile", "model",
+         "controller", "trace"],
 )
 def test_cli_run_rejects_unknown_parameter_key(tmp_path, capsys, section, key, config_text):
     status = _run_config(tmp_path, config_text)
@@ -331,3 +374,54 @@ def test_cli_run_rejects_bad_base_seed_before_any_campaign(
     assert "base_seed" in captured.err, captured.err
     assert "running" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config_text, key",
+    [
+        (MINIMAL_TOPOLOGY.replace("runs: 2", "runs: 2.5"), "runs"),
+        (MINIMAL_TOPOLOGY.replace("runs: 2", "runs: true"), "runs"),
+        (MINIMAL_TOPOLOGY.replace("actions: all", "actions: 3.9"), "controller.actions"),
+        (MINIMAL_TOPOLOGY.replace("actions: all", "actions: '3'"), "controller.actions"),
+        (MINIMAL_TOPOLOGY.replace("random_length: 120", "random_length: '12'"),
+         "trace.random_length"),
+        (MINIMAL_TOPOLOGY.replace("input_sizes: [1, 4, 16]", "input_sizes: [1, 4.5, 16]"),
+         "profile.input_sizes"),
+        (MINIMAL_TOPOLOGY + "reference_input: 4.0\n", "reference_input"),
+        (MINIMAL_TOPOLOGY.replace("upgrade_after: 4", "upgrade_after: 4.7"),
+         "controller.heuristic.upgrade_after"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full_day]\n"
+                                  "  full_day_schedule: {0: 6.5}"),
+         "trace.full_day_schedule"),
+    ],
+    ids=["runs-fraction", "runs-bool", "actions-fraction", "actions-text", "random-length-text",
+         "input-size-fraction", "reference-input-float", "heuristic-fraction",
+         "schedule-fraction"],
+)
+def test_cli_run_rejects_non_integer_field_before_any_campaign(
+    tmp_path, capsys, config_text, key
+):
+    status = _run_config(tmp_path, config_text)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    assert f"{key} must be a non-negative integer" in captured.err, captured.err
+    assert "running" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("weight", ['"300": 0.4', '"300": 0.5'], ids=["latency", "objective"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_cli_rejects_non_finite_model_weight(tmp_path, capsys, weight, value):
+    assert MINIMAL_TOPOLOGY.count(weight) == 1
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY.replace(weight, f'"300": {value}'))
+    for argv in (["run", "--config", str(exp), "--out", str(tmp_path / "out")],
+                 ["profile", "--config", str(exp), "--out", str(tmp_path / "p.csv")]):
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert status == 1, argv
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "dpi=300 must be finite" in err, err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "p.csv").exists()

@@ -78,12 +78,6 @@ def test_operator_and_topology_name_uniqueness():
         ServiceTopology("t", (op, op))
 
 
-def test_granularity_is_accepted():
-    op = OperatorSpec("op", (ParameterSpec("p", ("a", "b")),), granularity=4)
-    topo = ServiceTopology("t", (op,))
-    assert len(enumerate_configurations(topo)) == 2
-
-
 def test_requirement_invariants():
     lat = ConstraintSpec("latency", 1.0)
     with pytest.raises(ValueError, match="> 0"):

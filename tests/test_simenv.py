@@ -10,10 +10,7 @@ from adaptsim.simenv import (
     Environment,
     EpisodeFinished,
     ScriptedCpu,
-    cpu_step,
     custom_trace,
-    export_cpu_trace,
-    export_input_trace,
     make_trace,
 )
 
@@ -55,31 +52,36 @@ def constant_cpu_env(base_latency, cpu, steps=4):
 # --- CPU availability chain ---------------------------------------------
 
 
+def chain_step_from(start, rng):
+    """One step of a chain that starts at ``start`` (its max_avail)."""
+    chain = CpuChain(CpuChainParams(max_avail=start))
+    chain.reset(rng)
+    return chain.step()
+
+
 def test_chain_without_change_prob_is_constant():
-    params = CpuChainParams(change_prob=0.0)
-    rng = np.random.default_rng(3)
-    value = 1.0
+    chain = CpuChain(CpuChainParams(change_prob=0.0))
+    chain.reset(np.random.default_rng(3))
     for _ in range(10**6):
-        value = cpu_step(value, params, rng)
-        if value != 1.0:
+        if chain.step() != 1.0:
             pytest.fail("availability moved despite change_prob=0")
 
 
 def test_boundary_clamp_upward():
     # change fires (0.0 < 0.1), magnitude 0.07 >= 0, sign + (0.2 < 0.5)
     rng = StubRng(randoms=[0.0, 0.2], normals=[0.07])
-    assert cpu_step(1.0, CpuChainParams(), rng) == 1.0
+    assert chain_step_from(1.0, rng) == 1.0
 
 
 def test_boundary_clamp_downward():
     rng = StubRng(randoms=[0.0, 0.9], normals=[0.5])  # sign -, big magnitude
-    assert cpu_step(0.32, CpuChainParams(), rng) == 0.3
+    assert chain_step_from(0.32, rng) == 0.3
 
 
 def test_negative_magnitude_is_allowed_and_clamped():
     # sign + with negative magnitude moves down; clamp still applies
     rng = StubRng(randoms=[0.0, 0.2], normals=[-0.9])
-    assert cpu_step(0.5, CpuChainParams(), rng) == 0.3
+    assert chain_step_from(0.5, rng) == 0.3
 
 
 def test_chain_event_frequency_and_range():
@@ -148,7 +150,7 @@ def test_full_day_schedule_override_must_cover_all_hours():
 
 
 def test_random_trace_change_frequency():
-    trace = make_trace("random", length=10**5, seed=5)
+    trace = make_trace("random", length=10**5)
     sizes = trace.materialize(np.random.default_rng(0))
     changes = sum(a != b for a, b in zip(sizes, sizes[1:]))
     freq = changes / (len(sizes) - 1)
@@ -157,14 +159,10 @@ def test_random_trace_change_frequency():
 
 
 def test_random_trace_seeded_is_reproducible():
-    trace = make_trace("random", length=500, seed=9)
-    a = trace.materialize(np.random.default_rng(1))
-    b = trace.materialize(np.random.default_rng(2))
-    assert a == b  # pinned seed wins over the episode rng
-    unpinned = make_trace("random", length=500)
-    c = unpinned.materialize(np.random.default_rng(1))
-    d = unpinned.materialize(np.random.default_rng(1))
-    e = unpinned.materialize(np.random.default_rng(2))
+    trace = make_trace("random", length=500)
+    c = trace.materialize(np.random.default_rng(1))
+    d = trace.materialize(np.random.default_rng(1))
+    e = trace.materialize(np.random.default_rng(2))
     assert c == d
     assert c != e
 
@@ -286,26 +284,3 @@ def test_episode_lengths_exact(face_profile, face_requirement):
     env = Environment(face_profile, face_requirement, make_trace("random", length=77))
     assert env.length == 77
 
-
-# --- exports ----------------------------------------------------------------
-
-
-def test_export_input_trace(tmp_path):
-    trace = make_trace("variable")
-    path = tmp_path / "trace.csv"
-    export_input_trace(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,input_size"
-    assert len(lines) == 1101
-    assert lines[1] == "0,6"
-    assert lines[-1] == "1099,6"
-
-
-def test_export_cpu_trace(tmp_path):
-    path = tmp_path / "cpu.csv"
-    export_cpu_trace(CpuChainParams(), steps=50, path=path, seed=1)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,cpu_availability"
-    assert len(lines) == 51
-    values = [float(line.split(",")[1]) for line in lines[1:]]
-    assert all(0.3 <= v <= 1.0 for v in values)
