@@ -103,15 +103,24 @@ class ExperimentConfig:
         return specs
 
 
-def _known_node(node: Any, where: str, known: Sequence[str]) -> Mapping[str, Any]:
-    """A mapping whose keys are all in ``known``."""
+def _known_node(
+    node: Any, where: str, known: Sequence[str] | None = None
+) -> Mapping[str, Any]:
+    """A mapping whose keys are all in ``known`` (any key when ``known`` is None)."""
     if not isinstance(node, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
     for key in node:
-        if key not in known:
+        if known is not None and key not in known:
             raise ConfigError(
                 f"unknown key {key!r} under {where}; expected one of {', '.join(known)}"
             )
+    return node
+
+
+def _list_node(node: Any, where: str) -> list | tuple:
+    """A list, refused rather than iterated when it is a scalar or a mapping."""
+    if not isinstance(node, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {type(node).__name__}")
     return node
 
 
@@ -123,19 +132,17 @@ def _params_node(node: Any, params_cls: type, where: str) -> Mapping[str, Any]:
 def _parse_topology(node: Any) -> ServiceTopology:
     node = _known_node(node, "topology", ("name", "operators"))
     operators = []
-    for i, op_node in enumerate(node.get("operators", [])):
+    for i, op_node in enumerate(_list_node(node.get("operators", []), "topology.operators")):
         where = f"topology.operators[{i}]"
         op_node = _known_node(op_node, where, ("name", "parameters"))
         params = []
-        for j, p_node in enumerate(op_node.get("parameters", [])):
-            p_node = _known_node(p_node, f"{where}.parameters[{j}]", ("name", "values"))
+        p_nodes = _list_node(op_node.get("parameters", []), f"{where}.parameters")
+        for j, p_node in enumerate(p_nodes):
+            p_where = f"{where}.parameters[{j}]"
+            p_node = _known_node(p_node, p_where, ("name", "values"))
             try:
-                params.append(
-                    ParameterSpec(
-                        name=str(p_node["name"]),
-                        values=tuple(str(v) for v in p_node["values"]),
-                    )
-                )
+                values = _list_node(p_node["values"], f"{p_where}.values")
+                params.append(ParameterSpec(str(p_node["name"]), tuple(map(str, values))))
             except KeyError as exc:
                 raise ConfigError(f"parameter entry missing key {exc}") from None
         operators.append(
@@ -155,15 +162,15 @@ def _parse_requirement(node: Any) -> Requirement:
         node, "requirement", ("objective_metric", "objective_sense", "constraints")
     )
     constraints = []
-    for i, c_node in enumerate(node.get("constraints", [])):
-        c_node = _known_node(c_node, f"requirement.constraints[{i}]", ("metric", "target"))
+    c_nodes = _list_node(node.get("constraints", []), "requirement.constraints")
+    for i, c_node in enumerate(c_nodes):
+        where = f"requirement.constraints[{i}]"
+        c_node = _known_node(c_node, where, ("metric", "target"))
+        if "target" not in c_node:
+            raise ConfigError(f"{where} missing key 'target'")
+        target = _number(c_node["target"], f"{where}.target")
         try:
-            constraints.append(
-                ConstraintSpec(
-                    metric=str(c_node.get("metric", "latency")),
-                    target=float(c_node["target"]),
-                )
-            )
+            constraints.append(ConstraintSpec(str(c_node.get("metric", "latency")), target))
         except ValueError as exc:
             raise ConfigError(f"invalid requirement: {exc}") from None
     try:
@@ -176,6 +183,17 @@ def _parse_requirement(node: Any) -> Requirement:
         raise ConfigError(f"invalid requirement: {exc}") from None
 
 
+def _weights(node: Any, where: str) -> dict[str, dict[str, float]]:
+    """``{parameter: {value: weight}}``, every weight a number."""
+    return {
+        str(p): {
+            str(v): _number(w, f"{where}.{p}.{v}")
+            for v, w in _known_node(values, f"{where}.{p}").items()
+        }
+        for p, values in _known_node(node, where).items()
+    }
+
+
 def _parse_model(node: Any) -> SyntheticProfileModel:
     node = _known_node(
         node,
@@ -184,16 +202,12 @@ def _parse_model(node: Any) -> SyntheticProfileModel:
     )
     try:
         return SyntheticProfileModel(
-            latency_weights={
-                str(p): {str(v): float(w) for v, w in values.items()}
-                for p, values in node["latency_weights"].items()
-            },
-            objective_weights={
-                str(p): {str(v): float(w) for v, w in values.items()}
-                for p, values in node["objective_weights"].items()
-            },
-            per_face_slope=float(node["per_face_slope"]),
-            latency_floor=float(node["latency_floor"]),
+            latency_weights=_weights(node["latency_weights"], "profile.model.latency_weights"),
+            objective_weights=_weights(
+                node["objective_weights"], "profile.model.objective_weights"
+            ),
+            per_face_slope=_number(node["per_face_slope"], "profile.model.per_face_slope"),
+            latency_floor=_number(node["latency_floor"], "profile.model.latency_floor"),
         )
     except KeyError as exc:
         raise ConfigError(f"profile.model missing key {exc}") from None
@@ -222,6 +236,14 @@ def _integer(value: Any, key: str) -> int:
     return value
 
 
+def _number(value: Any, key: str) -> float:
+    """``value`` as a float if it is an int or a float; bools and strings are
+    refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> ExperimentConfig:
     base_dir = base_dir or Path.cwd()
     raw = _known_node(
@@ -243,16 +265,23 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     profile_node = _known_node(
         raw.get("profile", {}), "profile", ("source", "path", "input_sizes", "model")
     )
-    input_sizes = [
-        _integer(s, "profile.input_sizes")
-        for s in profile_node.get("input_sizes", defaults.DEFAULT_INPUT_SIZES)
-    ]
     source = profile_node.get("source", "synthetic")
     if source == "synthetic":
+        where = "profile with source 'synthetic'"
+        _known_node(profile_node, where, ("source", "input_sizes", "model"))
+        input_sizes = [
+            _integer(s, "profile.input_sizes")
+            for s in _list_node(
+                profile_node.get("input_sizes", defaults.DEFAULT_INPUT_SIZES),
+                "profile.input_sizes",
+            )
+        ]
         model_node = profile_node.get("model", "default")
         model = defaults.default_model() if model_node == "default" else _parse_model(model_node)
         profile = generate_synthetic_profile(model, topology, input_sizes)
     elif source == "file":
+        # The file brings its own input sizes and latencies.
+        _known_node(profile_node, "profile with source 'file'", ("source", "path"))
         if "path" not in profile_node:
             raise ConfigError("profile.source is 'file' but profile.path is missing")
         profile_path = Path(profile_node["path"])
@@ -266,7 +295,10 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     controller_node = _known_node(
         raw.get("controller", {}), "controller", ("kinds", "actions", "heuristic", "learning")
     )
-    controllers = [str(c) for c in controller_node.get("kinds", list(CONTROLLER_KINDS))]
+    controllers = [
+        str(c)
+        for c in _list_node(controller_node.get("kinds", CONTROLLER_KINDS), "controller.kinds")
+    ]
     for c in controllers:
         if c not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller {c!r}; pick from {CONTROLLER_KINDS}")
@@ -279,7 +311,9 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     learning_node = _params_node(
         controller_node.get("learning", {}), LearningParams, "controller.learning"
     )
-    learning_params = LearningParams(**{k: float(v) for k, v in learning_node.items()})
+    learning_params = LearningParams(
+        **{k: _number(v, f"controller.learning.{k}") for k, v in learning_node.items()}
+    )
     action_count: int | str = controller_node.get("actions", 16)
     if action_count != "all":
         action_count = _integer(action_count, "controller.actions")
@@ -287,18 +321,19 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     trace_node = _known_node(
         raw.get("trace", {}), "trace", ("kinds", "random_length", "full_day_schedule")
     )
-    trace_kinds = [str(t).replace("-", "_") for t in trace_node.get("kinds", ["variable"])]
+    trace_kinds = [
+        str(t).replace("-", "_")
+        for t in _list_node(trace_node.get("kinds", ["variable"]), "trace.kinds")
+    ]
     for t in trace_kinds:
         if t not in TRACE_KINDS:
             raise ConfigError(f"unknown trace kind {t!r}; pick from {TRACE_KINDS}")
-    schedule_node = trace_node.get("full_day_schedule")
-    schedule = None
-    if schedule_node:
-        where = "trace.full_day_schedule"
-        schedule = {_integer(h, where): _integer(f, where) for h, f in schedule_node.items()}
+    where = "trace.full_day_schedule"
+    schedule_node = _known_node(trace_node.get("full_day_schedule", {}), where)
+    schedule = {_integer(h, where): _integer(f, where) for h, f in schedule_node.items()} or None
 
     cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
-    cpu_params = CpuChainParams(**{k: float(v) for k, v in cpu_node.items()})
+    cpu_params = CpuChainParams(**{k: _number(v, f"cpu.{k}") for k, v in cpu_node.items()})
 
     out_dir = Path(raw.get("out_dir", "results"))
     if not out_dir.is_absolute():

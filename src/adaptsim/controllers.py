@@ -16,6 +16,7 @@ tuple maps to exactly one row.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -231,148 +232,64 @@ def select_action(
     return int(table.values[state].argmax())
 
 
-def _spell_rows(matrix: np.ndarray, nonzero: np.ndarray, zero: str, spell) -> list[str]:
-    """One line per row of ``matrix``, cells spelled by ``spell``.
-
-    Rows with no ``nonzero`` cell share one all-``zero`` string; the other
-    rows start from ``zero`` everywhere and spell only their marked cells.
-    """
-    cols = matrix.shape[1]
-    lines = [" ".join([zero] * cols)] * matrix.shape[0]
-    rows_at, cols_at = np.nonzero(nonzero)
-    touched: dict[int, list[str]] = {}
-    for r, c, v in zip(rows_at.tolist(), cols_at.tolist(), matrix[rows_at, cols_at].tolist()):
-        cells = touched.get(r)
-        if cells is None:
-            cells = touched[r] = [zero] * cols
-        cells[c] = spell(v)
-    for r, cells in touched.items():
-        lines[r] = " ".join(cells)
-    return lines
-
-
 def qtable_save(table: QTable, path: str | Path) -> None:
-    """Persist a table so it loads back bit-exact.
-
-    The text goes to ``<path>.tmp`` first and is then renamed onto ``path``,
-    so a crash mid-write leaves the previous table intact.
-    """
+    """Write ``<encoder> <states> <actions>``, then ``<state> <action> <value>
+    <visits>`` per cell not at (+0.0, 0), row-major, to ``<path>.tmp``; sync it
+    and rename it onto ``path``, so a crash keeps the old table.  Loads bit-exact."""
     values, visits = table.values, table.visit_counts
-    # signbit keeps -0.0 (equal to zero) spelled as "-0.0".
-    value_lines = _spell_rows(values, (values != 0) | np.signbit(values), "0.0", repr)
-    visit_lines = _spell_rows(visits, visits != 0, "0", str)
-    header = f"{table.encoder} {table.state_count} {table.action_count}"
-    text = "\n".join([header, *value_lines, *visit_lines]) + "\n"
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    at = np.nonzero((values != 0) | np.signbit(values) | (visits != 0))  # lists -0.0 too
+    cells = zip(at[0].tolist(), at[1].tolist(), values[at].tolist(), visits[at].tolist())
+    lines = [f"{table.encoder} {table.state_count} {table.action_count}"]
+    lines += [f"{r} {c} {v!r} {n}" for r, c, v, n in cells]
+    tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-class _Parsed(dict):
-    """token -> ``convert(token)``, computed once per distinct token."""
-
-    def __init__(self, convert):
-        super().__init__()
-        self._convert = convert
-
-    def __missing__(self, token: str):
-        value = self[token] = self._convert(token)
-        return value
-
-
-# The ASCII bytes that ``str.split()`` treats as whitespace.
-_WHITESPACE = np.zeros(256, dtype=bool)
-_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-
-
-def _parse_rows(
-    path: str | Path,
-    lines: list[str],
-    first_line: int,
-    out: np.ndarray,
-    zero: str,
-    convert,
-    what: str,
-) -> None:
-    """Fill the zero matrix ``out`` from one text line per row.
-
-    Lines equal to the all-``zero`` line are skipped.  The others are split
-    into tokens together, with numpy on their bytes (a token is a run of
-    non-whitespace, as ``str.split`` makes it), and only the tokens other
-    than ``zero`` are converted, each distinct one once.
-    """
-    cols = out.shape[1]
-    zero_line = " ".join([zero] * cols)
-    rows = [i for i, line in enumerate(lines) if line != zero_line]
-    if not rows:
-        return
-    text = "\n".join([lines[i] for i in rows])
-    if not text.isascii():  # str.split also breaks at non-ASCII whitespace
-        text = "\n".join([" ".join(lines[i].split()) for i in rows])
-    # Whitespace on both sides makes every token start and end at a change
-    # between whitespace and not; the tail also lets every token be compared
-    # with len(zero) bytes.
-    raw = b" " + text.encode("utf-8") + b" " * len(zero)
-    data = np.frombuffer(raw, dtype=np.uint8)
-    in_token = ~_WHITESPACE[data]
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    # Tokens before each line end, differenced: the tokens on each line.
-    widths = np.diff(np.searchsorted(starts, np.flatnonzero(data == ord("\n"))),
-                     prepend=0, append=len(starts))
-    wrong = np.flatnonzero(widths != cols)
-    if wrong.size:
-        r = int(wrong[0])
-        raise ValueError(
-            f"{path}: line {first_line + rows[r]}: row width {widths[r]} "
-            f"does not match declared shape ({cols} columns)"
-        )
-    spelled = ends - starts != len(zero)
-    for k, byte in enumerate(zero.encode("ascii")):
-        spelled |= data[starts + k] != byte
-    parsed = _Parsed(convert)
-    at = np.flatnonzero(spelled)
-    for t, start, end in zip(at.tolist(), starts[at].tolist(), ends[at].tolist()):
-        r, c = divmod(t, cols)
-        try:
-            out[rows[r], c] = parsed[raw[start:end].decode("utf-8")]
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: line {first_line + rows[r]}: bad {what}: {exc}") from None
-
-
 def qtable_load(path: str | Path) -> QTable:
-    """Read a table written by :func:`qtable_save`; every error names ``path``."""
+    """Read a :func:`qtable_save` file; fields split as ``str.split`` has it.
+    Every error names ``path`` and the line."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not a UTF-8 text file") from None
-    if not lines:
-        raise ValueError(f"{path}: empty Q-table file")
     head = lines[0].split()
     try:
         encoder, rows, cols = head[0], int(head[1]), int(head[2])
         if len(head) != 3 or rows < 1 or cols < 1:
             raise ValueError
     except (IndexError, ValueError):
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from None
+        raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}") from None
     if encoder not in ENCODERS:
-        raise ValueError(f"{path}: unknown state encoder {encoder!r}")
-    if len(lines) != 1 + 2 * rows:
-        raise ValueError(f"{path}: expected {1 + 2 * rows} lines, found {len(lines)}")
+        raise ValueError(f"{path}: line 1: unknown state encoder {encoder!r}")
     values = np.zeros((rows, cols), dtype=np.float64)
     visits = np.zeros((rows, cols), dtype=np.int64)
-    _parse_rows(path, lines[1 : 1 + rows], 2, values, "0.0", float, "Q-value")
-    _parse_rows(path, lines[1 + rows :], 2 + rows, visits, "0", int, "visit count")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: Q-values must be finite numbers")
-    if (visits < 0).any():
-        raise ValueError(f"{path}: visit counts must be non-negative integers")
+    listed = set()
+    for number, line in enumerate(lines[1:], 2):
+        try:
+            fields = line.split()
+            if len(fields) != 4:
+                raise ValueError(f"want <state> <action> <value> <visits>, got {line!r}")
+            r, c, value, count = int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3])
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"cell ({r}, {c}) is outside the {rows}x{cols} table")
+            if (r, c) in listed:
+                raise ValueError(f"cell ({r}, {c}) is listed twice")
+            if not math.isfinite(value):
+                raise ValueError(f"Q-value {value} is not finite")
+            if not 0 <= count < 2**63:
+                raise ValueError(f"visit count {count} is not a non-negative 64-bit integer")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        listed.add((r, c))
+        values[r, c], visits[r, c] = value, count
     return QTable(encoder, values, visits)
 
 

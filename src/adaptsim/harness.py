@@ -48,7 +48,7 @@ from .service_model import (
 from .simenv import TRACE_KINDS, CpuChainParams, Environment, InputTrace, latency_target
 
 CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
-RL_KINDS = ("rl1", "rl2")
+RL_ENCODERS = {"rl1": "v1", "rl2": "v2"}  # learner kind -> state encoder
 
 TRACE_FILE_HEADER = "step,cpu,input_size,ordinal,latency,satisfied,reward"
 METRICS_HEADER = "run,steps,mean_objective,latency_satisfaction_pct,mean_reward"
@@ -184,8 +184,8 @@ def build_controller(
         )
     if kind == "heuristic":
         return HeuristicController(len(actions), heuristic_params)
-    if kind in RL_KINDS:
-        encoder = "v1" if kind == "rl1" else "v2"
+    encoder = RL_ENCODERS.get(kind)
+    if encoder is not None:
         if table is None:
             table = QTable.zeros(encoder, len(actions))
         return QLearningController(
@@ -357,8 +357,7 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
     env = Environment(spec.profile, spec.requirement, spec.trace, spec.cpu_params)
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    is_rl = spec.controller in RL_KINDS
-    encoder = "v1" if spec.controller == "rl1" else "v2"
+    encoder = RL_ENCODERS.get(spec.controller)
 
     def _run_all() -> list[RunMetrics]:
         all_metrics: list[RunMetrics] = []
@@ -366,7 +365,7 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
             ss = np.random.SeedSequence(spec.base_seed + k)
             env_ss, ctrl_ss = ss.spawn(2)
             table = None
-            if is_rl:
+            if encoder:
                 table = (
                     QTable.zeros(encoder, len(actions))
                     if k == 0
@@ -385,12 +384,12 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
             )
             episode = run_episode(env, controller, actions, env_ss, run_index=k)
             write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.records)
-            if is_rl:
+            if encoder:
                 qtable_save(controller.table, spec.qtable_path)
             all_metrics.append(episode.metrics)
         return all_metrics
 
-    if is_rl:
+    if encoder:
         spec.qtable_path.parent.mkdir(parents=True, exist_ok=True)
         with _persistence_lock(spec.qtable_path):
             metrics = _run_all()

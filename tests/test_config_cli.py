@@ -425,3 +425,108 @@ def test_cli_rejects_non_finite_model_weight(tmp_path, capsys, weight, value):
         assert "dpi=300 must be finite" in err, err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "p.csv").exists()
+
+
+def _assert_refused_before_any_campaign(tmp_path, capsys, status, *named):
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    for text in named:
+        assert text in captured.err, captured.err
+    assert "running" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config_text, key",
+    [
+        (MINIMAL_TOPOLOGY.replace("input_sizes: [1, 4, 16]", "input_sizes: 5"),
+         "profile.input_sizes must be a list"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full_day]\n"
+                                  "  full_day_schedule: [1, 2]"),
+         "trace.full_day_schedule must be a mapping"),
+        (MINIMAL_TOPOLOGY.replace('values: ["150", "300"]', "values: 3"),
+         "topology.operators[0].parameters[0].values must be a list"),
+        (MINIMAL_TOPOLOGY.replace('latency_weights:\n      dpi: {"150": 0.0, "300": 0.4}\n'
+                                  "      language_model: {small: 0.0, large: 0.8}",
+                                  "latency_weights: [1]"),
+         "profile.model.latency_weights must be a mapping"),
+        (MINIMAL_TOPOLOGY.replace('dpi: {"150": 0.3, "300": 0.5}', "dpi: 0.3"),
+         "profile.model.objective_weights.dpi must be a mapping"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]", "kinds: rl1"),
+         "controller.kinds must be a list"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: random"),
+         "trace.kinds must be a list"),
+        ("topology:\n  operators: {ocr: {}}\n", "topology.operators must be a list"),
+        (MINIMAL_TOPOLOGY.replace("    - metric: latency\n      target: 2.0\n",
+                                  "    metric: latency\n"),
+         "requirement.constraints must be a list"),
+    ],
+    ids=["input-sizes-scalar", "schedule-list", "values-scalar", "latency-weights-list",
+         "weight-row-scalar", "controller-kinds-string", "trace-kinds-string",
+         "operators-mapping", "constraints-mapping"],
+)
+def test_cli_run_rejects_config_value_of_wrong_shape(tmp_path, capsys, config_text, key):
+    assert config_text != MINIMAL_TOPOLOGY
+    _assert_refused_before_any_campaign(
+        tmp_path, capsys, _run_config(tmp_path, config_text), key
+    )
+
+
+@pytest.mark.parametrize(
+    "config_text, key",
+    [
+        (MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning:\n"
+                                  "    alpha: true\n"), "controller.learning.alpha"),
+        (MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning:\n"
+                                  "    alpha: abc\n"), "controller.learning.alpha"),
+        (MINIMAL_TOPOLOGY + "cpu:\n  change_prob: true\n", "cpu.change_prob"),
+        (MINIMAL_TOPOLOGY + "cpu:\n  delta_mean: '0.1'\n", "cpu.delta_mean"),
+        (MINIMAL_TOPOLOGY.replace("target: 2.0", "target: '2.0'"),
+         "requirement.constraints[0].target"),
+        (MINIMAL_TOPOLOGY.replace("latency_floor: 0.2", "latency_floor: yes"),
+         "profile.model.latency_floor"),
+        (MINIMAL_TOPOLOGY.replace("per_face_slope: 0.01", "per_face_slope: fast"),
+         "profile.model.per_face_slope"),
+        (MINIMAL_TOPOLOGY.replace('"300": 0.4', '"300": "0.4"'),
+         "profile.model.latency_weights.dpi.300"),
+        (MINIMAL_TOPOLOGY.replace("large: 0.4", "large: true"),
+         "profile.model.objective_weights.language_model.large"),
+    ],
+    ids=["alpha-bool", "alpha-text", "change-prob-bool", "delta-mean-text", "target-text",
+         "floor-bool", "slope-text", "latency-weight-text", "objective-weight-bool"],
+)
+def test_cli_run_rejects_non_number_float_field(tmp_path, capsys, config_text, key):
+    assert config_text != MINIMAL_TOPOLOGY
+    _assert_refused_before_any_campaign(
+        tmp_path, capsys, _run_config(tmp_path, config_text), f"{key} must be a number"
+    )
+
+
+def test_cli_run_rejects_missing_constraint_target(tmp_path, capsys):
+    status = _run_with_constraints(tmp_path, "  constraints:\n    - metric: latency\n")
+    _assert_refused_before_any_campaign(
+        tmp_path, capsys, status, "requirement.constraints[0] missing key 'target'"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, key, text, known",
+    [("file", "input_sizes", "[1, 4]", "source, path"),
+     ("file", "model", "default", "source, path"),
+     ("synthetic", "path", "p.csv", "source, input_sizes, model")],
+)
+def test_cli_run_refuses_profile_keys_the_source_ignores(
+    tmp_path, capsys, source, key, text, known
+):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    assert main(["profile", "--config", str(exp), "--out", str(tmp_path / "p.csv")]) == 0
+    capsys.readouterr()
+    path = "  path: p.csv\n" if source == "file" else ""
+    config_text = (MINIMAL_TOPOLOGY.split("profile:")[0]
+                   + f"profile:\n  source: {source}\n{path}  {key}: {text}\n")
+    _assert_refused_before_any_campaign(
+        tmp_path, capsys, _run_config(tmp_path, config_text),
+        f"unknown key {key!r} under profile with source {source!r}; expected one of {known}",
+    )

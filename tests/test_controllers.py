@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -324,12 +326,14 @@ def test_qtable_absent_file_defaults_to_zeros(tmp_path):
 
 
 def _reference_qtable_text(table):
-    """The original dense writer: every cell spelled, one line per row."""
+    """The file format cell by cell: every cell whose value is not +0.0 or
+    whose visit count is not 0, walked in row-major order."""
     lines = [f"{table.encoder} {table.state_count} {table.action_count}"]
-    for row in table.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for row in table.visit_counts:
-        lines.append(" ".join(str(int(v)) for v in row))
+    for r in range(table.state_count):
+        for c in range(table.action_count):
+            value, count = float(table.values[r, c]), int(table.visit_counts[r, c])
+            if value != 0 or math.copysign(1.0, value) < 0 or count != 0:
+                lines.append(f"{r} {c} {value!r} {count}")
     return "\n".join(lines) + "\n"
 
 
@@ -409,33 +413,46 @@ def test_qtable_save_crash_mid_write_keeps_previous_table(tmp_path, monkeypatch)
 
 
 def _small_saved_table(tmp_path):
-    """A saved v1 table with 2 actions (6 states): header, 6 value rows, 6 visit rows."""
+    """A saved v1 table with 2 actions (6 states): the header and two cell lines."""
     table = QTable.zeros("v1", 2)
     table.values[1, 0] = 0.5
     table.visit_counts[1, 0] = 2
+    table.visit_counts[4, 1] = 1
     path = tmp_path / "q.txt"
     qtable_save(table, path)
-    return path, path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["v1 6 2", "1 0 0.5 2", "4 1 0.0 1"]
+    return path, lines
 
 
 @pytest.mark.parametrize(
     "line, text, match",
     [
-        (0, "v1 six 2", "malformed header"),
-        (0, "v1 6 2.0", "malformed header"),
-        (0, "v1 6 0", "malformed header"),
-        (0, "v9 6 2", "unknown state encoder"),
-        (3, "0.0 0.0 0.0", "row width"),
-        (9, "0", "row width"),
-        (3, "0.0 abc", "value"),
-        (9, "0 1.5", "visit"),
-        (9, "0 -3", "non-negative"),
-        (3, "nan 0.0", "finite"),
+        (0, "v1 six 2", "line 1: malformed header"),
+        (0, "v1 6 2.0", "line 1: malformed header"),
+        (0, "v1 6 0", "line 1: malformed header"),
+        (0, "v9 6 2", "line 1: unknown state encoder"),
+        (1, "1 0 0.5", "line 2: want <state> <action> <value> <visits>"),
+        (2, "4 1 0.0 1 7", "line 3: want <state> <action> <value> <visits>"),
+        (1, "1 0 abc 2", "line 2: could not convert string to float"),
+        (2, "4 1 0.0 1.5", "line 3: invalid literal for int"),
+        (2, "4 1 0.0 -3", "line 3: visit count -3 is not a non-negative"),
+        (1, "1 0 nan 2", "line 2: Q-value nan is not finite"),
+        (1, "1 0 -inf 2", "line 2: Q-value -inf is not finite"),
+        (2, f"4 1 0.0 {2**63}", "line 3: visit count .* 64-bit"),
+        (1, "x 0 0.5 2", "line 2: invalid literal for int"),
+        (1, "1.0 0 0.5 2", "line 2: invalid literal for int"),
+        (1, "6 0 0.5 2", r"line 2: cell \(6, 0\) is outside the 6x2 table"),
+        (2, "4 2 0.0 1", r"line 3: cell \(4, 2\) is outside the 6x2 table"),
+        (2, "4 -1 0.0 1", r"line 3: cell \(4, -1\) is outside"),
+        (2, "1 0 0.0 1", r"line 3: cell \(1, 0\) is listed twice"),
     ],
     ids=[
         "non-integer-header", "float-header", "zero-width-header", "unknown-encoder",
-        "ragged-value-row", "ragged-visit-row", "non-numeric-value", "non-integer-visit",
-        "negative-visit", "nan-value",
+        "three-field-line", "five-field-line", "non-numeric-value", "non-integer-visit",
+        "negative-visit", "nan-value", "infinite-value", "int64-overflow-visit",
+        "non-integer-state", "float-state", "state-out-of-range", "action-out-of-range",
+        "negative-action", "duplicate-cell",
     ],
 )
 def test_qtable_load_diagnostics_name_the_file(tmp_path, line, text, match):
@@ -444,20 +461,31 @@ def test_qtable_load_diagnostics_name_the_file(tmp_path, line, text, match):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=match) as err:
         qtable_load(path)
-    assert str(err.value).startswith(f"{path}: ")
+    assert str(err.value).startswith(f"{path}: line ")
+
+
+def test_qtable_load_refuses_an_empty_file_and_the_dense_format(tmp_path):
+    path = tmp_path / "q.txt"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: malformed header"):
+        qtable_load(path)
+    # The dense format had one line per row: it fails at its first row.
+    path.write_text("v1 3 1\n0.0\n0.5\n0.0\n0\n2\n0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: want <state>"):
+        qtable_load(path)
 
 
 def test_qtable_load_reads_hand_spelled_zeros_and_negative_zero(tmp_path):
     path, lines = _small_saved_table(tmp_path)
-    lines[1] = "0 -0.0"  # not the canonical all-zero line: parsed token by token
-    lines[2] = " 0.5\t\u00a0 0.0 "  # any whitespace separates, as str.split has it
-    lines[7] = "00 0"
+    lines.append("0 0 0 00")  # a listed zero cell is allowed and stays +0.0
+    lines.append("0 1 -0.0 0")
+    lines[1] = " 1\t0\u00a0 0.50  +2 "  # any whitespace separates, as str.split has it
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     loaded = qtable_load(path)
     assert loaded.values[0, 0] == 0.0 and not np.signbit(loaded.values[0, 0])
     assert np.signbit(loaded.values[0, 1])
     assert loaded.values[1, 0] == 0.5
-    assert loaded.visit_counts.tolist() == [[0, 0], [2, 0]] + [[0, 0]] * 4
+    assert loaded.visit_counts.tolist() == [[0, 0], [2, 0], [0, 0], [0, 0], [0, 1], [0, 0]]
 
 
 # --- static and heuristic controllers ----------------------------------------

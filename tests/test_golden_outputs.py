@@ -9,7 +9,10 @@ so and record new digests.
 
 import hashlib
 
+import numpy as np
+
 from adaptsim import config, harness
+from adaptsim.controllers import qtable_load
 
 GRID = {
     "controller": {"kinds": list(harness.CONTROLLER_KINDS)},
@@ -69,7 +72,10 @@ def test_small_grid_outputs_are_byte_identical_to_pinned_digests(tmp_path):
 
 
 # Full 512-wide action space: the persisted Q-tables of both learners after
-# two runs, pinned so the sparse-aware writer keeps every byte.
+# two runs.  The file bytes pin the sparse text format; the content digests
+# (encoder, shape, the value bits and the visit counts of the loaded table)
+# were recorded with the earlier dense format, so they pin that the learned
+# tables themselves did not change with it.
 QTABLE_GRID = {
     "controller": {"kinds": ["rl1", "rl2"], "actions": "all"},
     "trace": {"kinds": ["random"], "random_length": 300},
@@ -77,9 +83,21 @@ QTABLE_GRID = {
 }
 
 QTABLE_SHA256 = {
-    "rl1_random/qtable.txt": "7f2671fa0a6b741276b38ffc0513d60b879cfb00ab168c5810d823988035f094",
-    "rl2_random/qtable.txt": "1a42669aef9e7dc2fdec7e25b403fcb33269f6ff48cead1cc0b6f0d0186496ba",
+    "rl1_random/qtable.txt": "3d0bababfc595d0288917799c3f85a7ed142b311c591e6a0767e600e319757f3",
+    "rl2_random/qtable.txt": "2615a03d914f6cdb9d28b1d789e2abf0b743d23e13ad6cc04f73bf04a407fdca",
 }
+
+QTABLE_CONTENT_SHA256 = {
+    "rl1_random/qtable.txt": "8e8c7e852c5fc69b8ea99b0b4bbdb3ea9247b469aeead799488b81a24c54905b",
+    "rl2_random/qtable.txt": "0a3177a6ebaaa703b378f65b3c265f46f5128d2878ec9fb8db89fafd496f58f7",
+}
+
+
+def _content_sha256(table):
+    digest = hashlib.sha256(f"{table.encoder} {table.state_count} {table.action_count}".encode())
+    digest.update(table.values.view(np.int64).tobytes())
+    digest.update(table.visit_counts.astype(np.int64).tobytes())
+    return digest.hexdigest()
 
 
 def test_full_action_space_qtables_are_byte_identical_to_pinned_digests(tmp_path):
@@ -90,4 +108,9 @@ def test_full_action_space_qtables_are_byte_identical_to_pinned_digests(tmp_path
         for p in sorted(tmp_path.glob("*/qtable.txt"))
     }
     assert got == QTABLE_SHA256
+    content = {
+        p.relative_to(tmp_path).as_posix(): _content_sha256(qtable_load(p))
+        for p in sorted(tmp_path.glob("*/qtable.txt"))
+    }
+    assert content == QTABLE_CONTENT_SHA256
     assert not list(tmp_path.glob("*/qtable.txt.*"))  # no temp or lock file left behind
