@@ -227,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "report":
             return _cmd_report(args)
         parser.error(f"unknown verb {args.verb!r}")
-    except (ConfigError, ProfileError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, ProfileError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

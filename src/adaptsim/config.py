@@ -221,7 +221,12 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+        try:
+            loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            detail = f"line {mark.line + 1}: {exc.problem}" if mark else " ".join(str(exc).split())
+            raise ConfigError(f"{path}: not valid YAML: {detail}") from None
         raw = {} if loaded is None else loaded
         if not isinstance(raw, Mapping):
             raise ConfigError(f"{path}: top level must be a mapping")

@@ -17,10 +17,8 @@ tuple maps to exactly one row.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,22 +38,15 @@ class ControllerObservation(NamedTuple):
     """What a controller sees before deciding: current context + last results.
 
     ``last_config_ordinal`` is the index of the previous decision within the
-    controller's action space (0 before the first step).  The ``last_*``
-    metric fields are None on the first step of an episode.
+    controller's action space (0 before the first step).  The ``last_*`` metric
+    fields (latency / target, bound met, objective) are None on the first step.
     """
 
     cpu_availability: float
     last_config_ordinal: int = 0
-    last_constraint_ratios: tuple[float, ...] | None = None
-    satisfied_last: tuple[bool, ...] | None = None
+    last_latency_ratio: float | None = None
+    last_satisfied: bool | None = None
     last_objective: float | None = None
-
-    @property
-    def last_latency_ratio(self) -> float | None:
-        """Last latency as a fraction of the first constraint's target."""
-        if self.last_constraint_ratios is None:
-            return None
-        return self.last_constraint_ratios[0]
 
 
 @dataclass(frozen=True)
@@ -133,18 +124,17 @@ def state_count(encoder: str, action_count: int) -> int:
 
 
 def reward(obs: ControllerObservation, requirement: Requirement) -> float:
-    """Last step's reward: the objective if every constraint held, otherwise
-    minus the summed target-relative overshoot of the violated constraints.
+    """Last step's reward: the objective if the latency bound held, otherwise
+    minus the latency ratio (the target-relative overshoot).
     """
-    if obs.satisfied_last is None or obs.last_constraint_ratios is None:
+    if obs.last_satisfied is None or obs.last_latency_ratio is None:
         raise ValueError("reward needs last-step metrics; none available yet")
-    if all(obs.satisfied_last):
-        value = obs.last_objective
-        if value is None:
-            raise ValueError("reward needs the last objective value")
-        return value if requirement.objective_sense == "maximize" else -value
-    violated = map(operator.not_, obs.satisfied_last)
-    return -sum(compress(obs.last_constraint_ratios, violated))
+    if not obs.last_satisfied:
+        return -obs.last_latency_ratio
+    value = obs.last_objective
+    if value is None:
+        raise ValueError("reward needs the last objective value")
+    return value if requirement.objective_sense == "maximize" else -value
 
 
 class QTable:
@@ -367,7 +357,7 @@ def static_fast_index(
 class HeuristicController:
     """Ladder controller assuming a monotone objective/latency trade-off.
 
-    Starts from the best-objective rung.  Any violated constraint degrades
+    Starts from the best-objective rung.  A violated latency bound degrades
     one rung immediately; ``upgrade_after`` consecutive satisfied steps
     upgrade one rung.  Both directions saturate at the ends of the ladder.
     """
@@ -391,10 +381,10 @@ class HeuristicController:
         self._started = False
 
     def decide(self, obs: ControllerObservation) -> int:
-        if not self._started or obs.satisfied_last is None:
+        if not self._started or obs.last_satisfied is None:
             self._started = True
             return self._current
-        if not all(obs.satisfied_last):
+        if not obs.last_satisfied:
             self._current = min(self._current + 1, self._action_count - 1)
             self._satisfied_streak = 0
         else:
@@ -456,7 +446,7 @@ class QLearningController:
 
     def decide(self, obs: ControllerObservation) -> int:
         state = self._encode(obs, self.table.action_count)
-        if self._prev is not None and obs.satisfied_last is not None:
+        if self._prev is not None and obs.last_satisfied is not None:
             prev_state, prev_action = self._prev
             r = reward(obs, self.requirement)
             q_update(self.table, prev_state, prev_action, r, state, self.params)
@@ -467,7 +457,7 @@ class QLearningController:
 
     def finish(self, obs: ControllerObservation) -> None:
         """Fold the final step's reward into the table at episode end."""
-        if self._prev is None or obs.satisfied_last is None:
+        if self._prev is None or obs.last_satisfied is None:
             return
         state = self._encode(obs, self.table.action_count)
         prev_state, prev_action = self._prev

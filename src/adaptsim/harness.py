@@ -45,7 +45,7 @@ from .service_model import (
     enumerate_configurations,
     sort_by_objective,
 )
-from .simenv import TRACE_KINDS, CpuChainParams, Environment, InputTrace, latency_target
+from .simenv import TRACE_KINDS, CpuChain, CpuChainParams, Environment, InputTrace
 
 CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
 RL_ENCODERS = {"rl1": "v1", "rl2": "v2"}  # learner kind -> state encoder
@@ -203,7 +203,7 @@ def run_episode(
 ) -> EpisodeResult:
     """One full pass over the environment's trace with one controller."""
     requirement = env.requirement
-    target = latency_target(requirement)
+    target = requirement.latency_target
     state = env.reset(seed)
     controller.reset()
     obs = ControllerObservation(cpu_availability=state.cpu_availability)
@@ -223,7 +223,7 @@ def run_episode(
         obs = ControllerObservation(
             observation.cpu_availability,
             action_index,
-            (latency / target,),
+            latency / target,
             satisfied,
             objective,
         )
@@ -234,7 +234,7 @@ def run_episode(
                 size_used,
                 config.ordinal,
                 latency,
-                all(satisfied),
+                satisfied,
                 reward(obs, requirement),
                 objective,
             )
@@ -354,7 +354,7 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
         configs, spec.profile, spec.reference_size, sense=spec.requirement.objective_sense
     )
     actions = make_action_space(sorted_configs, spec.action_count)
-    env = Environment(spec.profile, spec.requirement, spec.trace, spec.cpu_params)
+    env = Environment(spec.profile, spec.requirement, spec.trace, CpuChain(spec.cpu_params))
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     encoder = RL_ENCODERS.get(spec.controller)
@@ -457,6 +457,10 @@ def measure_overhead(
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not 0 < reference_frame_s < float("inf"):  # refuses NaN too
+        raise ValueError(
+            f"reference frame time must be a finite number > 0, got {reference_frame_s} s"
+        )
     topology = topology or defaults.default_topology()
     requirement = requirement or defaults.default_requirement()
     if profile is None:

@@ -4,7 +4,7 @@ A service is an ordered pipeline of operators, each exposing tunable
 parameters (adaptation knobs).  One choice of value for every knob across
 the whole pipeline is a :class:`Configuration`, the unit the controllers
 act on.  A :class:`Requirement` pairs an objective metric (to maximize or
-minimize) with hard constraints that every processed frame must satisfy.
+minimize) with the hard latency bound every processed frame must satisfy.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -117,7 +117,7 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class Requirement:
-    """Objective metric plus the constraints the service must respect."""
+    """Objective metric plus the one constraint the simulator models: a latency bound."""
 
     objective_metric: str
     constraints: tuple[ConstraintSpec, ...]
@@ -134,6 +134,16 @@ class Requirement:
             raise ValueError("constraint metrics must be pairwise distinct")
         if self.objective_metric in metrics:
             raise ValueError("objective metric cannot also be a constraint metric")
+        other = [m for m in metrics if m != "latency"]
+        if other:
+            raise ValueError(
+                f"the simulator models only latency; cannot evaluate constraints on {other}"
+            )
+
+    @property
+    def latency_target(self) -> float:
+        """The latency bound, in seconds; the requirement's one constraint."""
+        return self.constraints[0].target
 
 
 def enumerate_configurations(topology: ServiceTopology) -> list[Configuration]:

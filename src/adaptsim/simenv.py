@@ -220,36 +220,18 @@ def custom_trace(sizes: Sequence[int]) -> InputTrace:
 
 
 class EnvState(NamedTuple):
-    """Observation: context for the next decision plus last-step results."""
+    """Observation: the context the next frame runs under."""
 
-    step_index: int
     cpu_availability: float
     input_size: int
-    last_latency: float | None = None
-    last_objective: float | None = None
-    last_config_ordinal: int | None = None
 
 
 class StepOutcome(NamedTuple):
     latency: float
     objective: float
-    satisfied: tuple[bool, ...]
+    satisfied: bool
     observation: EnvState
     done: bool
-
-
-def latency_target(requirement: Requirement) -> float:
-    """The latency bound of a requirement the simulator can evaluate.
-
-    The simulator models latency only, so every constraint must be on
-    latency; constraint metrics are pairwise distinct, so there is one.
-    """
-    other = [c.metric for c in requirement.constraints if c.metric != "latency"]
-    if other:
-        raise ValueError(
-            f"the simulator models only latency; cannot evaluate constraints on {other}"
-        )
-    return requirement.constraints[0].target
 
 
 class Environment:
@@ -263,14 +245,13 @@ class Environment:
         profile: ProfileTable,
         requirement: Requirement,
         trace: InputTrace,
-        cpu_params: CpuChainParams | None = None,
         cpu_source: CpuChain | ScriptedCpu | None = None,
     ):
         self.profile = profile
         self.requirement = requirement
-        self._target = latency_target(requirement)
+        self._target = requirement.latency_target
         self.trace = trace
-        self.cpu = cpu_source if cpu_source is not None else CpuChain(cpu_params)
+        self.cpu = cpu_source if cpu_source is not None else CpuChain()
         self._sizes: tuple[int, ...] = ()
         self._cpu_now = 0.0  # availability the next frame runs under
         # (assignments, input size) -> (base latency, objective), per episode
@@ -291,7 +272,7 @@ class Environment:
         self._cells = {}
         self._step = 0
         self._done = False
-        return EnvState(step_index=0, cpu_availability=cpu0, input_size=self._sizes[0])
+        return EnvState(cpu_availability=cpu0, input_size=self._sizes[0])
 
     def step(self, action: Configuration) -> StepOutcome:
         """Process one frame with the given configuration."""
@@ -314,12 +295,5 @@ class Environment:
         params = self.cpu.params
         assert params.min_avail <= cpu_next <= params.max_avail
         # Positional construction: keywords cost more than the step's arithmetic.
-        observation = EnvState(
-            step,
-            cpu_next,
-            input_size if done else sizes[step],
-            latency,
-            objective,
-            action.ordinal,
-        )
-        return StepOutcome(latency, objective, (latency <= self._target,), observation, done)
+        observation = EnvState(cpu_next, input_size if done else sizes[step])
+        return StepOutcome(latency, objective, latency <= self._target, observation, done)

@@ -78,8 +78,8 @@ def test_criterion_1_reward_oracle():
         obs = ControllerObservation(
             cpu_availability=1.0,
             last_config_ordinal=0,
-            last_constraint_ratios=(latency / target,),
-            satisfied_last=(latency <= target,),
+            last_latency_ratio=latency / target,
+            last_satisfied=latency <= target,
             last_objective=objective,
         )
         got = reward(obs, req)
@@ -109,8 +109,8 @@ def test_criterion_2_encoder_bijectivity():
             obs = ControllerObservation(
                 cpu_availability=1.0,
                 last_config_ordinal=last,
-                last_constraint_ratios=(ratio,),
-                satisfied_last=(ratio <= 1.0,),
+                last_latency_ratio=ratio,
+                last_satisfied=ratio <= 1.0,
                 last_objective=0.5,
             )
             idx = encode_state_v1(obs, actions)
@@ -123,8 +123,8 @@ def test_criterion_2_encoder_bijectivity():
                 obs = ControllerObservation(
                     cpu_availability=avail,
                     last_config_ordinal=last,
-                    last_constraint_ratios=(ratio,),
-                    satisfied_last=(ratio <= 1.0,),
+                    last_latency_ratio=ratio,
+                    last_satisfied=ratio <= 1.0,
                     last_objective=0.5,
                 )
                 idx = encode_state_v2(obs, actions)
@@ -173,8 +173,8 @@ def test_criterion_4_toy_convergence():
             obs = ControllerObservation(
                 cpu_availability=1.0,
                 last_config_ordinal=action,
-                last_constraint_ratios=(ratio,),
-                satisfied_last=(ratio <= 1.0,),
+                last_latency_ratio=ratio,
+                last_satisfied=ratio <= 1.0,
                 last_objective=0.5,
             )
             seen.add(encode_state_v1(obs, 2))

@@ -255,17 +255,47 @@ def test_cli_run_rejects_non_finite_latency_target(tmp_path, capsys):
 
 
 def test_cli_run_rejects_constraint_not_on_latency(tmp_path, capsys):
-    status = _run_with_constraints(
-        tmp_path,
-        "  constraints:\n"
-        "    - metric: latency\n      target: 2.0\n"
-        "    - metric: energy\n      target: 0.5\n",
-    )
+    latency = "    - metric: latency\n      target: 2.0\n"
+    for others in (latency, ""):
+        status = _run_with_constraints(
+            tmp_path, f"  constraints:\n{others}    - metric: energy\n      target: 0.5\n"
+        )
+        _assert_refused_before_any_campaign(tmp_path, capsys, status, "'energy'")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-70"])
+def test_cli_overhead_rejects_bad_reference_frame_time(capsys, value):
+    status = main(["overhead", "--steps", "50", "--controller", "heuristic",
+                   f"--reference-frame-ms={value}"])
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert "energy" in err
-    assert not (tmp_path / "out" / "summary.csv").exists()
+    assert "reference frame time must be a finite number > 0" in err
+
+
+def test_cli_run_rejects_malformed_yaml(tmp_path, capsys):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text("runs: [1, 2\n")
+    status = main(["run", "--config", str(exp), "--out", str(tmp_path / "out")])
+    _assert_refused_before_any_campaign(
+        tmp_path, capsys, status, f"error: {exp}: not valid YAML: line 2"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["profile", "--out", "{dir}"], ["profile", "--validate", "{dir}"],
+     ["run", "--config", "{dir}"], ["run", "--out", "{file}/x", "--runs", "1",
+                                    "--controller", "static-hp", "--trace", "fixed"]],
+    ids=["profile-out-dir", "profile-validate-dir", "run-config-dir", "run-out-under-file"],
+)
+def test_cli_reports_os_errors_as_one_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(tmp_path) in err
 
 
 def test_cli_profile_validate_rejects_non_finite_latency(tmp_path, capsys):

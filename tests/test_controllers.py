@@ -38,16 +38,12 @@ from adaptsim.simenv import Environment, custom_trace
 REQ = Requirement("precision", (ConstraintSpec("latency", 1.0),))
 
 
-def obs(ratio=None, cpu=1.0, last=0, objective=None, ratios=None, satisfied=None):
-    if ratio is not None and ratios is None:
-        ratios = (ratio,)
-    if ratios is not None and satisfied is None:
-        satisfied = tuple(r <= 1.0 for r in ratios)
+def obs(ratio=None, cpu=1.0, last=0, objective=None):
     return ControllerObservation(
         cpu_availability=cpu,
         last_config_ordinal=last,
-        last_constraint_ratios=ratios,
-        satisfied_last=satisfied,
+        last_latency_ratio=ratio,
+        last_satisfied=None if ratio is None else ratio <= 1.0,
         last_objective=objective,
     )
 
@@ -113,15 +109,6 @@ def test_reward_satisfied_branch():
 
 def test_reward_violated_branch():
     assert reward(obs(ratio=1.5, objective=0.9), REQ) == -1.5
-
-
-def test_reward_sums_only_violated_constraints():
-    req2 = Requirement(
-        "precision",
-        (ConstraintSpec("latency", 1.0), ConstraintSpec("startup_latency", 2.0)),
-    )
-    value = reward(obs(ratios=(2.0, 0.9), objective=0.9), req2)
-    assert value == -2.0
 
 
 def test_reward_requires_history():

@@ -93,6 +93,16 @@ def test_requirement_invariants():
         Requirement("latency", (lat,))
     with pytest.raises(ValueError, match="sense"):
         Requirement("precision", (lat,), objective_sense="median")
+    assert Requirement("precision", (ConstraintSpec("latency", 2.5),)).latency_target == 2.5
+
+
+def test_requirement_refuses_constraint_not_on_latency():
+    for constraints in (
+        (ConstraintSpec("latency", 1.0), ConstraintSpec("energy", 0.5)),
+        (ConstraintSpec("energy", 0.5),),
+    ):
+        with pytest.raises(ValueError, match="only latency.*'energy'"):
+            Requirement("precision", constraints)
 
 
 def test_sort_by_objective_basic():
