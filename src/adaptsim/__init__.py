@@ -41,7 +41,6 @@ from .harness import (
     run_experiment,
 )
 from .profiling import (
-    ProfileEntry,
     ProfileTable,
     SyntheticProfileModel,
     generate_synthetic_profile,

@@ -100,7 +100,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.validate is not None:
         table = load_profile(args.validate)
-        validate_profile_coverage(table, cfg.topology)
+        try:
+            validate_profile_coverage(table, cfg.topology)
+        except ProfileError as exc:
+            raise ProfileError(f"{args.validate}: {exc}") from None
         print(
             f"{args.validate}: OK ({len(table.configurations())} configurations x "
             f"{len(table.input_sizes)} input sizes)"
@@ -124,11 +127,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         runs=args.runs,
         base_seed=args.seed,
     )
+    out_root = Path(args.out) if args.out is not None else cfg.out_dir
+    out_root.mkdir(parents=True, exist_ok=True)
     results: list[CampaignResult] = []
     for spec in specs:
         print(f"running {spec.controller} on {spec.trace.kind} ({spec.runs} runs) ...")
         results.append(run_experiment(spec))
-    out_root = Path(args.out) if args.out is not None else cfg.out_dir
     paths = emit_report(results, out_root)
     print(f"summary: {paths['summary']}")
     _print_summary(results)
@@ -150,8 +154,7 @@ def _print_summary(results: list[CampaignResult]) -> None:
 def _cmd_overhead(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     kinds = args.controller or ["heuristic", "rl2"]
-    print(f"{'controller':>12} {'median ms':>10} {'p99 ms':>10} {'impact %':>9}")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         report = measure_overhead(
             kind,
             steps=args.steps,
@@ -161,6 +164,8 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
             topology=cfg.topology,
             requirement=cfg.requirement,
         )
+        if i == 0:  # after the first call, which refuses bad inputs
+            print(f"{'controller':>12} {'median ms':>10} {'p99 ms':>10} {'impact %':>9}")
         print(
             f"{kind:>12} {report.decide_median_s * 1e3:>10.4f} "
             f"{report.decide_p99_s * 1e3:>10.4f} {report.impact_pct:>9.3f}"

@@ -22,6 +22,7 @@ from . import defaults
 from .controllers import HeuristicParams, LearningParams
 from .harness import CONTROLLER_KINDS, ExperimentSpec
 from .profiling import (
+    ProfileError,
     ProfileTable,
     SyntheticProfileModel,
     generate_synthetic_profile,
@@ -293,7 +294,10 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         if not profile_path.is_absolute():
             profile_path = base_dir / profile_path
         profile = load_profile(profile_path)
-        validate_profile_coverage(profile, topology)
+        try:
+            validate_profile_coverage(profile, topology)
+        except ProfileError as exc:
+            raise ProfileError(f"{profile_path}: {exc}") from None
     else:
         raise ConfigError(f"unknown profile source {source!r}")
 

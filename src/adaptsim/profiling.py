@@ -21,7 +21,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .service_model import Configuration, ServiceTopology, enumerate_configurations
 
@@ -32,31 +34,12 @@ ConfigLike = Union[Configuration, Sequence[int]]
 
 
 class ProfileError(ValueError):
-    """Raised for malformed, incomplete, or inconsistent profile data."""
+    """Malformed, incomplete or inconsistent profile data; ``cell`` is the
+    (row, column) of the grid value a :class:`ProfileTable` refused, if any."""
 
-
-@dataclass(frozen=True)
-class ProfileEntry:
-    """One profiled cell: a configuration measured at one input size."""
-
-    assignments: AssignmentKey
-    input_size: int
-    base_latency: float
-    objective_value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", tuple(int(i) for i in self.assignments))
-        if self.input_size < 0:
-            raise ProfileError(f"input_size must be >= 0, got {self.input_size}")
-        if not (math.isfinite(self.base_latency) and self.base_latency > 0):
-            raise ProfileError(
-                f"base_latency must be a finite number > 0, got {self.base_latency}"
-            )
-        if not 0.0 <= self.objective_value <= 1.0:
-            raise ProfileError(
-                f"objective_value must be a finite number in [0, 1], "
-                f"got {self.objective_value}"
-            )
+    def __init__(self, message: str, cell: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.cell = cell
 
 
 def _as_key(config: ConfigLike) -> AssignmentKey:
@@ -66,47 +49,56 @@ def _as_key(config: ConfigLike) -> AssignmentKey:
 
 
 class ProfileTable:
-    """Complete grid of profile entries over configurations x input sizes.
+    """Complete grid: ``base_latency[r][c]`` of ``configurations[r]`` at
+    ``input_sizes[c]``, and one ``objective[r]`` per configuration.
 
     Immutable after construction; lookups between profiled sizes are
     linearly interpolated and clamped at the endpoints.
     """
 
-    def __init__(self, entries: Iterable[ProfileEntry]):
-        latencies: dict[AssignmentKey, dict[int, float]] = {}
-        objectives: dict[AssignmentKey, float] = {}
-        sizes: set[int] = set()
-        for entry in entries:
-            per_size = latencies.setdefault(entry.assignments, {})
-            if entry.input_size in per_size:
-                raise ProfileError(
-                    f"duplicate entry for configuration {entry.assignments} "
-                    f"at input size {entry.input_size}"
-                )
-            per_size[entry.input_size] = entry.base_latency
-            sizes.add(entry.input_size)
-            known = objectives.setdefault(entry.assignments, entry.objective_value)
-            if known != entry.objective_value:
-                raise ProfileError(
-                    f"objective varies across input sizes for configuration "
-                    f"{entry.assignments} ({known} vs {entry.objective_value})"
-                )
-        if not latencies:
-            raise ProfileError("profile has no entries")
-        self._input_sizes: tuple[int, ...] = tuple(sorted(sizes))
-        for key, per_size in latencies.items():
-            if len(per_size) != len(self._input_sizes):
-                missing = sorted(sizes - set(per_size))
-                raise ProfileError(
-                    f"incomplete grid: configuration {key} is missing "
-                    f"input sizes {missing}"
-                )
-        self._size_index = {s: i for i, s in enumerate(self._input_sizes)}
-        self._latencies: dict[AssignmentKey, tuple[float, ...]] = {
-            key: tuple(per_size[s] for s in self._input_sizes)
-            for key, per_size in latencies.items()
-        }
-        self._objectives = objectives
+    def __init__(
+        self,
+        configurations: Sequence[ConfigLike],
+        input_sizes: Sequence[int],
+        base_latency: Sequence[Sequence[float]] | np.ndarray,
+        objective: Sequence[float] | np.ndarray,
+    ):
+        keys = [_as_key(c) for c in configurations]
+        sizes = tuple(int(s) for s in input_sizes)
+        if not keys or not sizes:
+            raise ProfileError("profile has no entries: the grid must be non-empty")
+        if sizes[0] < 0 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ProfileError(f"input sizes must be >= 0 and strictly increasing: {list(sizes)}")
+        self._row = {key: r for r, key in enumerate(keys)}
+        if len(self._row) != len(keys):
+            dup = next(key for r, key in enumerate(keys) if self._row[key] != r)
+            raise ProfileError(f"duplicate configuration {dup}")
+        lat = np.array(base_latency, dtype=np.float64)
+        obj = np.array(objective, dtype=np.float64)
+        if lat.shape != (len(keys), len(sizes)) or obj.shape != (len(keys),):
+            raise ProfileError(f"shapes {lat.shape} and {obj.shape} of base_latency and objective "
+                               f"do not match {len(keys)} configurations x {len(sizes)} sizes")
+        bad = np.argwhere(~(np.isfinite(lat) & (lat > 0)))
+        if bad.size:
+            r, c = bad[0].tolist()
+            raise ProfileError(
+                f"base latency for configuration {keys[r]} at input size {sizes[c]} "
+                f"must be a finite number > 0, got {lat[r, c]}",
+                cell=(r, c),
+            )
+        bad = np.flatnonzero(~((obj >= 0) & (obj <= 1)))
+        if bad.size:
+            r = bad[0].item()
+            raise ProfileError(
+                f"objective for configuration {keys[r]} must be a finite number "
+                f"in [0, 1], got {obj[r]}",
+                cell=(r, 0),
+            )
+        lat.flags.writeable = obj.flags.writeable = False
+        self._input_sizes = sizes
+        self._col = {s: c for c, s in enumerate(sizes)}
+        self._base_latency = lat
+        self._objective = obj
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -114,20 +106,14 @@ class ProfileTable:
 
     def configurations(self) -> list[AssignmentKey]:
         """All profiled assignment vectors, in lexicographic order."""
-        return sorted(self._latencies)
+        return sorted(self._row)
 
-    def entry(self, config: ConfigLike, input_size: int) -> ProfileEntry:
-        """The stored entry at an exactly profiled input size."""
+    def _row_of(self, config: ConfigLike) -> int:
         key = _as_key(config)
-        idx = self._size_index.get(input_size)
-        if idx is None:
-            raise KeyError(f"input size {input_size} was not profiled")
-        return ProfileEntry(
-            assignments=key,
-            input_size=input_size,
-            base_latency=self._latencies[key][idx],
-            objective_value=self._objectives[key],
-        )
+        try:
+            return self._row[key]
+        except KeyError:
+            raise KeyError(f"unknown configuration {key}") from None
 
     def lookup(self, config: ConfigLike, input_size: int) -> tuple[float, float]:
         """(base_latency, objective_value) for a configuration at any input size.
@@ -135,36 +121,24 @@ class ProfileTable:
         Sizes between profiled knots are linearly interpolated; sizes outside
         the profiled range are clamped to the nearest endpoint.
         """
-        key = _as_key(config)
-        lat = self._latencies.get(key)
-        if lat is None:
-            raise KeyError(f"unknown configuration {key}")
-        objective = self._objectives[key]
-        idx = self._size_index.get(input_size)
+        row = self._row_of(config)
+        lat = self._base_latency
+        objective = float(self._objective[row])
+        idx = self._col.get(input_size)
         if idx is not None:
-            return lat[idx], objective
+            return float(lat[row, idx]), objective
         sizes = self._input_sizes
         if input_size <= sizes[0]:
-            return lat[0], objective
+            return float(lat[row, 0]), objective
         if input_size >= sizes[-1]:
-            return lat[-1], objective
+            return float(lat[row, -1]), objective
         hi = bisect_left(sizes, input_size)
         lo = hi - 1
         frac = (input_size - sizes[lo]) / (sizes[hi] - sizes[lo])
-        return lat[lo] + frac * (lat[hi] - lat[lo]), objective
+        return float(lat[row, lo] + frac * (lat[row, hi] - lat[row, lo])), objective
 
     def objective(self, config: ConfigLike) -> float:
-        key = _as_key(config)
-        try:
-            return self._objectives[key]
-        except KeyError:
-            raise KeyError(f"unknown configuration {key}") from None
-
-    def entries(self) -> Iterable[ProfileEntry]:
-        """All entries, ordered by assignment vector then input size."""
-        for key in self.configurations():
-            for size in self._input_sizes:
-                yield self.entry(key, size)
+        return float(self._objective[self._row_of(config)])
 
 
 @dataclass(frozen=True)
@@ -229,10 +203,6 @@ def generate_synthetic_profile(
 ) -> ProfileTable:
     """Evaluate the model on the full configuration grid."""
     sizes = [int(s) for s in input_sizes]
-    if not sizes:
-        raise ProfileError("input_sizes must be non-empty")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ProfileError("input_sizes must be strictly increasing")
     params = topology.parameters
     names = [p.name for p in params]
     if len(set(names)) != len(names):
@@ -240,59 +210,79 @@ def generate_synthetic_profile(
             "synthetic models key weights by parameter name; "
             f"topology {topology.name!r} reuses a name across operators"
         )
-    entries = []
-    for config in enumerate_configurations(topology):
+    configs = enumerate_configurations(topology)
+    latency = np.empty((len(configs), len(sizes)))
+    objective = np.empty(len(configs))
+    for r, config in enumerate(configs):
         labels = [(p.name, p.values[i]) for p, i in zip(params, config.assignments)]
-        objective = model.objective_value(labels)
-        for size in sizes:
-            entries.append(
-                ProfileEntry(
-                    assignments=config.assignments,
-                    input_size=size,
-                    base_latency=model.base_latency(labels, size),
-                    objective_value=objective,
-                )
-            )
-    return ProfileTable(entries)
+        objective[r] = model.objective_value(labels)
+        latency[r] = [model.base_latency(labels, size) for size in sizes]
+    return ProfileTable(configs, sizes, latency, objective)
 
 
 def save_profile(table: ProfileTable, path: str | Path) -> None:
     """Write a profile file that loads back bit-exact."""
-    path = Path(path)
     lines = [PROFILE_HEADER]
-    for entry in table.entries():
-        key = ";".join(str(i) for i in entry.assignments)
-        lines.append(
-            f"{key},{entry.input_size},{entry.base_latency!r},{entry.objective_value!r}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for key in table.configurations():
+        row = table._row[key]
+        assignments = ";".join(str(i) for i in key)
+        objective = float(table._objective[row])
+        for size, latency in zip(table.input_sizes, table._base_latency[row].tolist()):
+            lines.append(f"{assignments},{size},{latency!r},{objective!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_profile(path: str | Path) -> ProfileTable:
+    """Read a profile file.  Every refusal starts with ``<path>:``, and one
+    about a single row with ``<path>:<line>:``."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != PROFILE_HEADER:
-        raise ProfileError(
-            f"{path}: missing or malformed header (expected {PROFILE_HEADER!r})"
-        )
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ProfileError(f"{path}:{lineno}: malformed row {line!r}")
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not numbered or numbered[0][1].strip() != PROFILE_HEADER:
+        raise ProfileError(f"{path}: missing or malformed header (expected {PROFILE_HEADER!r})")
+    keys, sizes, lats, objs = [], [], [], []
+    for lineno, line in numbered[1:]:
         try:
-            assignments = tuple(int(tok) for tok in parts[0].split(";"))
-            entry = ProfileEntry(
-                assignments=assignments,
-                input_size=int(parts[1]),
-                base_latency=float(parts[2]),
-                objective_value=float(parts[3]),
+            key, size, lat, obj = line.split(",")
+            keys.append(tuple(int(tok) for tok in key.split(";")))
+            sizes.append(int(size))
+            lats.append(float(lat))
+            objs.append(float(obj))
+        except ValueError as exc:
+            raise ProfileError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from None
+    configs, knots = sorted(set(keys)), sorted(set(sizes))
+    row_of = {key: r for r, key in enumerate(configs)}
+    col_of = {size: c for c, size in enumerate(knots)}
+    latency = np.empty((len(configs), len(knots)))
+    objective = np.empty(len(configs))
+    line_of = np.zeros(latency.shape, dtype=np.int64)  # 0: no row for the cell yet
+    for (lineno, _), key, size, lat, obj in zip(numbered[1:], keys, sizes, lats, objs):
+        r, c = row_of[key], col_of[size]
+        if line_of[r, c]:
+            raise ProfileError(
+                f"{path}:{lineno}: duplicate entry for configuration {key} at input "
+                f"size {size} (first on line {line_of[r, c]})"
             )
-        except (ValueError, ProfileError) as exc:
-            raise ProfileError(f"{path}:{lineno}: malformed row: {exc}") from None
-        entries.append(entry)
-    return ProfileTable(entries)
+        if not line_of[r].any():
+            objective[r] = obj
+        elif obj != objective[r] and not (math.isnan(obj) and math.isnan(objective[r])):
+            raise ProfileError(f"{path}:{lineno}: objective varies across input sizes for "
+                               f"configuration {key} ({objective[r]} vs {obj})")
+        latency[r, c] = lat
+        line_of[r, c] = lineno
+    incomplete = np.flatnonzero((line_of == 0).any(axis=1))
+    if incomplete.size:
+        r = incomplete[0]
+        missing = [knots[c] for c in np.flatnonzero(line_of[r] == 0)]
+        raise ProfileError(
+            f"{path}: incomplete grid: configuration {configs[r]} is missing "
+            f"input sizes {missing}"
+        )
+    try:
+        return ProfileTable(configs, knots, latency, objective)
+    except ProfileError as exc:
+        where = f"{path}:{line_of[exc.cell]}" if exc.cell else f"{path}"
+        raise ProfileError(f"{where}: {exc}") from None
 
 
 def validate_profile_coverage(table: ProfileTable, topology: ServiceTopology) -> None:

@@ -1,10 +1,12 @@
 import filecmp
+import re
 
 import pytest
 
 from adaptsim.cli import build_parser, main
 from adaptsim.config import ConfigError, load_config
 from adaptsim.harness import measure_overhead
+from adaptsim.profiling import ProfileError
 
 MINIMAL_TOPOLOGY = """\
 topology:
@@ -105,6 +107,10 @@ def test_profile_file_source_roundtrip(tmp_path):
     cfg = load_config(exp2)
     assert cfg.profile.input_sizes == (1, 4, 16)
     assert len(cfg.profile.configurations()) == 4
+    # the default topology has 512 configurations: the file is refused by name
+    exp2.write_text("profile:\n  source: file\n  path: p.csv\n")
+    with pytest.raises(ProfileError, match=re.escape(f"{tmp_path / 'p.csv'}: profile is missing")):
+        load_config(exp2)
 
 
 def test_cli_profile_generate_and_validate(tmp_path, capsys):
@@ -267,8 +273,9 @@ def test_cli_run_rejects_constraint_not_on_latency(tmp_path, capsys):
 def test_cli_overhead_rejects_bad_reference_frame_time(capsys, value):
     status = main(["overhead", "--steps", "50", "--controller", "heuristic",
                    f"--reference-frame-ms={value}"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert status == 1
+    assert out == "", out
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "reference frame time must be a finite number > 0" in err
 
@@ -293,9 +300,10 @@ def test_cli_reports_os_errors_as_one_line(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
     argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert str(tmp_path) in err
+    assert "running" not in out, out
 
 
 def test_cli_profile_validate_rejects_non_finite_latency(tmp_path, capsys):

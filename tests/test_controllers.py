@@ -31,7 +31,7 @@ from adaptsim.controllers import (
     static_fast_index,
 )
 from adaptsim.harness import run_episode
-from adaptsim.profiling import ProfileEntry, ProfileTable
+from adaptsim.profiling import ProfileTable
 from adaptsim.service_model import ConstraintSpec, Requirement
 from adaptsim.simenv import Environment, custom_trace
 
@@ -480,11 +480,12 @@ def test_qtable_load_reads_hand_spelled_zeros_and_negative_zero(tmp_path):
 
 def ladder_profile(n=6, sizes=(6, 48)):
     """n configs with objective k/n and latency 0.2 + 0.1 k (pure trade-off)."""
-    entries = []
-    for k in range(n):
-        for s in sizes:
-            entries.append(ProfileEntry((k,), s, 0.2 + 0.1 * k, (k + 1) / (n + 1)))
-    return ProfileTable(entries)
+    return ProfileTable(
+        [(k,) for k in range(n)],
+        sizes,
+        [[0.2 + 0.1 * k] * len(sizes) for k in range(n)],
+        [(k + 1) / (n + 1) for k in range(n)],
+    )
 
 
 def test_static_controller_returns_fixed_action():

@@ -1,10 +1,16 @@
+import hashlib
+import math
+import re
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptsim.cli import main
 from adaptsim.defaults import DEFAULT_INPUT_SIZES, default_model
 from adaptsim.profiling import (
-    ProfileEntry,
+    PROFILE_HEADER,
     ProfileError,
     ProfileTable,
     SyntheticProfileModel,
@@ -30,17 +36,29 @@ def constant_model(floor=0.1, slope=0.0):
 
 
 def two_point_table():
-    return ProfileTable(
-        [
-            ProfileEntry((0,), 6, 0.1, 0.5),
-            ProfileEntry((0,), 12, 0.2, 0.5),
-        ]
-    )
+    return ProfileTable([(0,)], [6, 12], [[0.1, 0.2]], [0.5])
+
+
+def write_profile(path, rows):
+    path.write_text("\n".join([PROFILE_HEADER, *rows]) + "\n")
+    return path
 
 
 def test_constant_model_gives_constant_latency():
     table = generate_synthetic_profile(constant_model(), tiny_topology(), [6, 12, 24])
-    assert all(e.base_latency == 0.1 for e in table.entries())
+    assert [table.lookup(key, s)[0] for key in table.configurations() for s in (6, 12, 24)] == [
+        0.1
+    ] * 6
+
+
+# sha256 of the file a bare `adaptsim profile --out profile.csv` writes (512 x 6 cells)
+DEFAULT_PROFILE_SHA256 = "217f62879547abb8b4d5d5eccd5f72cf30b637a971cdda93ae85cc88eae78fcd"
+
+
+def test_default_profile_file_is_pinned(tmp_path):
+    path = tmp_path / "profile.csv"
+    assert main(["profile", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_PROFILE_SHA256
 
 
 def test_default_model_latency_grows_with_input(face_profile):
@@ -84,7 +102,7 @@ def test_missing_cell_is_incomplete_grid(tmp_path):
     save_profile(table, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ProfileError, match="incomplete grid"):
+    with pytest.raises(ProfileError, match=re.escape(f"{path}: incomplete grid")):
         load_profile(path)
 
 
@@ -94,18 +112,36 @@ def test_duplicate_rows_error(tmp_path):
     save_profile(table, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[-1]]) + "\n")
-    with pytest.raises(ProfileError, match="duplicate entry"):
+    duplicate_line = len(lines) + 1
+    with pytest.raises(ProfileError, match=re.escape(f"{path}:{duplicate_line}: duplicate entry")):
         load_profile(path)
 
 
-def test_objective_varying_across_sizes_errors():
-    with pytest.raises(ProfileError, match="objective varies"):
-        ProfileTable(
-            [
-                ProfileEntry((0,), 6, 0.1, 0.5),
-                ProfileEntry((0,), 12, 0.2, 0.6),
-            ]
-        )
+def test_objective_varying_across_sizes_errors(tmp_path):
+    path = write_profile(tmp_path / "p.csv", ["0,6,0.1,0.5", "0,12,0.2,0.6"])
+    with pytest.raises(ProfileError, match=re.escape(f"{path}:3: objective varies")):
+        load_profile(path)
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        (["0,6,0.1,0.5", "1,6,0.1,1.5"], ":3: objective for configuration (1,)"),
+        (["0,6,0.1,0.5", "0,12,0.0,0.5"], ":3: base latency for configuration (0,) at input size"),
+        (["0,-6,0.1,0.5"], ": input sizes must be >= 0"),
+        (["0,6,0.1,0.5", "", "0,12,0.2,0.5", "1,12,0.2,0.5"], ": incomplete grid"),
+        (["0,6,0.1,0.5", "", "0,6,0.1,0.5"], ":4: duplicate entry"),
+        ([], ": profile has no entries"),
+        (["0,6,0.1,0.5"], ": profile is missing 512 configurations"),
+    ],
+    ids=["objective", "latency", "negative-size", "incomplete", "duplicate-after-blank",
+         "header-only", "not-the-topology"],
+)
+def test_refused_file_names_its_path_and_line(tmp_path, capsys, rows, where):
+    path = write_profile(tmp_path / "p.csv", rows)
+    assert main(["profile", "--validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{where}") and err.count("\n") == 1, err
 
 
 def test_malformed_rows_and_header(tmp_path):
@@ -135,8 +171,45 @@ def test_malformed_rows_and_header(tmp_path):
     ],
 )
 def test_non_finite_entry_rejected(latency, objective):
-    with pytest.raises(ProfileError, match="finite"):
-        ProfileEntry((0,), 6, latency, objective)
+    with pytest.raises(ProfileError, match=r"configuration \(0,\).*finite"):
+        ProfileTable([(0,)], [6], [[latency]], [objective])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([], [6], [], []), "no entries: the grid must be non-empty"),
+        (([(0,)], [], [[]], [0.5]), "no entries: the grid must be non-empty"),
+        (([(0,)], [-6, 12], [[0.1, 0.2]], [0.5]), r">= 0 and strictly increasing: \[-6, 12\]"),
+        (([(0,)], [12, 6], [[0.1, 0.2]], [0.5]), r"strictly increasing: \[12, 6\]"),
+        (([(0,)], [6, 6], [[0.1, 0.2]], [0.5]), "strictly increasing"),
+        (([(0,), (1,), (0,)], [6], [[0.1]] * 3, [0.5] * 3), r"duplicate configuration \(0,\)"),
+        (([(0,)], [6, 12], [[0.1]], [0.5]),
+         r"shapes \(1, 1\) and \(1,\) .* do not match 1 configurations x 2 sizes"),
+        (([(0,), (1,)], [6], [[0.1], [0.1]], [0.5]),
+         r"shapes \(2, 1\) and \(1,\) .* do not match 2 configurations x 1 sizes"),
+        (([(0,), (1,)], [6, 12], [[0.1, 0.2], [0.1, 0.0]], [0.5] * 2),
+         r"configuration \(1,\) at input size 12 must be a finite number > 0, got 0.0"),
+        (([(0,)], [6], [[-0.1]], [0.5]), r"at input size 6 must be a finite number > 0"),
+        (([(0,), (1,)], [6], [[0.1], [0.1]], [0.5, -0.1]),
+         r"objective for configuration \(1,\) must be a finite number in \[0, 1\], got -0.1"),
+        (([(0,)], [6], [[0.1]], [1.5]), r"in \[0, 1\], got 1.5"),
+    ],
+    ids=["no-configurations", "no-sizes", "negative-size", "decreasing-sizes", "repeated-size",
+         "duplicate-configuration", "latency-shape", "objective-shape", "zero-latency",
+         "negative-latency", "negative-objective", "objective-above-one"],
+)
+def test_constructor_refuses_bad_grid(args, message):
+    with pytest.raises(ProfileError, match=message):
+        ProfileTable(*args)
+
+
+def test_lookup_returns_python_floats():
+    table = two_point_table()
+    for size in (3, 6, 9, 12, 100):
+        lat, obj = table.lookup((0,), size)
+        assert type(lat) is float and type(obj) is float
+    assert type(table.objective((0,))) is float
 
 
 def test_lookup_interpolates_midpoint():
@@ -204,13 +277,7 @@ def test_validate_profile_coverage(face_profile, face_topology):
     with pytest.raises(ProfileError, match="missing"):
         validate_profile_coverage(face_profile, topo)
     with pytest.raises(ProfileError, match="outside the topology"):
-        small_extra = ProfileTable(
-            [
-                ProfileEntry((0,), 6, 0.1, 0.5),
-                ProfileEntry((1,), 6, 0.1, 0.5),
-                ProfileEntry((2,), 6, 0.1, 0.5),
-            ]
-        )
+        small_extra = ProfileTable([(0,), (1,), (2,)], [6], [[0.1]] * 3, [0.5] * 3)
         validate_profile_coverage(small_extra, topo)
     small = generate_synthetic_profile(constant_model(), topo, [6])
     validate_profile_coverage(small, topo)
@@ -220,14 +287,7 @@ def test_validate_profile_coverage(face_profile, face_topology):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=250))
 def test_interpolation_bounded_by_neighbor_knots(query):
-    table = ProfileTable(
-        [
-            ProfileEntry((0,), 6, 0.10, 0.5),
-            ProfileEntry((0,), 12, 0.35, 0.5),
-            ProfileEntry((0,), 48, 0.20, 0.5),
-            ProfileEntry((0,), 192, 0.90, 0.5),
-        ]
-    )
+    table = ProfileTable([(0,)], [6, 12, 48, 192], [[0.10, 0.35, 0.20, 0.90]], [0.5])
     sizes = table.input_sizes
     lat, _ = table.lookup((0,), query)
     knots = {s: table.lookup((0,), s)[0] for s in sizes}
@@ -241,3 +301,54 @@ def test_interpolation_bounded_by_neighbor_knots(query):
         assert min(knots[lo], knots[hi]) <= lat <= max(knots[lo], knots[hi])
         if query in knots:
             assert lat == knots[query]
+
+
+def reference_lookup(sizes, latencies, query):
+    """Clamped linear interpolation, written out independently of ProfileTable."""
+    if query <= sizes[0]:
+        return latencies[0]
+    if query >= sizes[-1]:
+        return latencies[-1]
+    hi = bisect_left(sizes, query)
+    if sizes[hi] == query:
+        return latencies[hi]
+    lo = hi - 1
+    frac = (query - sizes[lo]) / (sizes[hi] - sizes[lo])
+    return latencies[lo] + frac * (latencies[hi] - latencies[lo])
+
+
+latencies_st = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-307),  # subnormals and the smallest normals
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),  # near the largest double
+)
+
+
+@st.composite
+def small_grids(draw):
+    sizes = sorted(draw(st.sets(st.integers(min_value=0, max_value=400), min_size=1, max_size=5)))
+    keys = sorted(
+        draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5))
+    )
+    latency = [[draw(latencies_st) for _ in sizes] for _ in keys]
+    objective = [draw(st.floats(min_value=0.0, max_value=1.0)) for _ in keys]
+    return keys, sizes, latency, objective
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_grids(), st.lists(st.integers(min_value=-10, max_value=450), max_size=8))
+def test_random_grid_roundtrips_and_interpolates(tmp_path_factory, grid, queries):
+    keys, sizes, latency, objective = grid
+    table = ProfileTable(keys, sizes, latency, objective)
+    path = tmp_path_factory.mktemp("grid") / "p.csv"
+    save_profile(table, path)
+    loaded = load_profile(path)
+    assert loaded.configurations() == keys and loaded.input_sizes == tuple(sizes)
+    for key, lats, obj in zip(keys, latency, objective):
+        for size, lat in zip(sizes, lats):
+            got = loaded.lookup(key, size)
+            assert got == (lat, obj) and math.copysign(1, got[1]) == math.copysign(1, obj)
+        for query in queries:
+            want = reference_lookup(sizes, lats, query)
+            lat, got_obj = table.lookup(key, query)
+            assert (lat, got_obj) == (want, obj)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptsim.profiling import ProfileEntry, ProfileTable
+from adaptsim.profiling import ProfileTable
 from adaptsim.service_model import (
     Configuration,
     ConstraintSpec,
@@ -27,11 +27,8 @@ def topology_with_counts(counts):
 
 def table_for(topology, objectives, latency=0.5, sizes=(6,)):
     """Profile with one objective per configuration, keyed by assignment order."""
-    entries = []
-    for config, obj in zip(enumerate_configurations(topology), objectives):
-        for s in sizes:
-            entries.append(ProfileEntry(config.assignments, s, latency, obj))
-    return ProfileTable(entries)
+    configs = enumerate_configurations(topology)
+    return ProfileTable(configs, sizes, [[latency] * len(sizes)] * len(configs), objectives)
 
 
 def test_enumerate_counts_512():

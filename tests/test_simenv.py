@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptsim.profiling import ProfileEntry, ProfileTable
+from adaptsim.profiling import ProfileTable
 from adaptsim.service_model import Configuration, ConstraintSpec, Requirement
 from adaptsim.simenv import (
     FULL_DAY_SCHEDULE,
@@ -32,9 +32,7 @@ class StubRng:
 
 
 def flat_profile(base_latency, objective=0.5, sizes=(6, 48)):
-    return ProfileTable(
-        [ProfileEntry((0,), s, base_latency, objective) for s in sizes]
-    )
+    return ProfileTable([(0,)], sizes, [[base_latency] * len(sizes)], [objective])
 
 
 def constant_cpu_env(base_latency, cpu, steps=4):
