@@ -13,13 +13,15 @@ timings land in a separate file.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import partial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +53,7 @@ CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
 RL_ENCODERS = {"rl1": "v1", "rl2": "v2"}  # learner kind -> state encoder
 
 TRACE_FILE_HEADER = "step,cpu,input_size,ordinal,latency,satisfied,reward"
+_TRACE_COLUMNS = tuple(TRACE_FILE_HEADER.split(","))
 METRICS_HEADER = "run,steps,mean_objective,latency_satisfaction_pct,mean_reward"
 TIMINGS_HEADER = "run,decide_median_s,decide_p99_s"
 
@@ -63,15 +66,36 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-class StepRecord(NamedTuple):
-    step: int
-    cpu: float
-    input_size: int
-    ordinal: int
-    latency: float
-    satisfied: bool
-    reward: float
-    objective: float
+def _sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum; builtin ``sum()`` compensates from Python 3.12 on.
+
+    Every metric goes through this one order, so ``metrics.csv`` keeps its
+    bytes on every Python version and matches a trace re-read line by line.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+@dataclass
+class EpisodeTrace:
+    """One episode's per-frame values, one typed column each.
+
+    Frame ``t`` is index ``t`` of every column: its availability and input
+    size, the chosen configuration's ordinal, and what the frame gave.
+    """
+
+    cpu: array = field(default_factory=partial(array, "d"))
+    input_size: array = field(default_factory=partial(array, "q"))
+    ordinal: array = field(default_factory=partial(array, "q"))
+    latency: array = field(default_factory=partial(array, "d"))
+    satisfied: array = field(default_factory=partial(array, "b"))  # 0 or 1
+    reward: array = field(default_factory=partial(array, "d"))
+    objective: array = field(default_factory=partial(array, "d"))
+
+    def __len__(self) -> int:
+        return len(self.cpu)
 
 
 @dataclass
@@ -87,9 +111,9 @@ class RunMetrics:
 
 @dataclass
 class EpisodeResult:
-    records: list[StepRecord]
+    trace: EpisodeTrace
     metrics: RunMetrics
-    decide_ns: list[int]  # wall time of each decide() call, in step order
+    decide_ns: array  # 'q': wall time of each decide() call, in step order
 
 
 @dataclass
@@ -101,8 +125,7 @@ class CampaignResult:
     out_dir: Path
 
     def mean_over_runs(self, attr: str) -> float:
-        values = [getattr(m, attr) for m in self.metrics]
-        return sum(values) / len(values)
+        return _sum(getattr(m, attr) for m in self.metrics) / len(self.metrics)
 
 
 @dataclass
@@ -208,15 +231,20 @@ def run_episode(
     controller.reset()
     obs = ControllerObservation(cpu_availability=state.cpu_availability)
     cpu_used, size_used = state.cpu_availability, state.input_size
-    records: list[StepRecord] = []
-    decide_ns: list[int] = []
+    trace = EpisodeTrace()
+    decide_ns = array("q")
+    # Bound appends: one attribute lookup per column per episode, not per frame.
+    add_ns = decide_ns.append
+    add_cpu, add_size, add_ordinal = trace.cpu.append, trace.input_size.append, trace.ordinal.append
+    add_latency, add_satisfied = trace.latency.append, trace.satisfied.append
+    add_reward, add_objective = trace.reward.append, trace.objective.append
     decide = controller.decide
     env_step = env.step
     clock = time.perf_counter_ns
-    for step in range(env.length):
+    for _ in range(env.length):
         t0 = clock()
         action_index = decide(obs)
-        decide_ns.append(clock() - t0)
+        add_ns(clock() - t0)
         config = actions[action_index]
         latency, objective, satisfied, observation, _ = env_step(config)
         # Positional construction in field order: keywords cost more per step.
@@ -227,36 +255,31 @@ def run_episode(
             satisfied,
             objective,
         )
-        records.append(
-            StepRecord(
-                step,
-                cpu_used,
-                size_used,
-                config.ordinal,
-                latency,
-                satisfied,
-                reward(obs, requirement),
-                objective,
-            )
-        )
+        add_cpu(cpu_used)
+        add_size(size_used)
+        add_ordinal(config.ordinal)
+        add_latency(latency)
+        add_satisfied(satisfied)
+        add_reward(reward(obs, requirement))
+        add_objective(objective)
         cpu_used, size_used = observation.cpu_availability, observation.input_size
     controller.finish(obs)
     return EpisodeResult(
-        records=records,
-        metrics=_metrics(run_index, records, decide_ns),
+        trace=trace,
+        metrics=_metrics(run_index, trace, decide_ns),
         decide_ns=decide_ns,
     )
 
 
-def _metrics(run_index: int, records: list[StepRecord], decide_ns: list[int]) -> RunMetrics:
-    n = len(records)
-    times = np.asarray(decide_ns, dtype=np.float64) / 1e9
+def _metrics(run_index: int, trace: EpisodeTrace, decide_ns: array) -> RunMetrics:
+    n = len(trace)
+    times = np.frombuffer(decide_ns, dtype=np.int64) / 1e9
     return RunMetrics(
         run_index=run_index,
         steps=n,
-        mean_objective=sum(map(attrgetter("objective"), records)) / n,
-        latency_satisfaction_pct=100.0 * sum(map(attrgetter("satisfied"), records)) / n,
-        mean_reward=sum(map(attrgetter("reward"), records)) / n,
+        mean_objective=_sum(trace.objective) / n,
+        latency_satisfaction_pct=100.0 * sum(trace.satisfied) / n,
+        mean_reward=_sum(trace.reward) / n,
         decide_median_s=float(np.percentile(times, 50)),
         decide_p99_s=float(np.percentile(times, 99)),
     )
@@ -275,15 +298,20 @@ class _Spellings(dict):
         return spelled
 
 
-def write_run_trace(path: Path, records: Iterable[StepRecord]) -> None:
+def write_run_trace(path: Path, trace: EpisodeTrace) -> None:
+    """Write ``trace`` as a run-trace CSV, one row per frame as it is formatted."""
     spell = _Spellings()
-    lines = [TRACE_FILE_HEADER]
-    for step, cpu, input_size, ordinal, latency, satisfied, rew, _ in records:
-        lines.append(
-            f"{step},{spell[cpu]},{input_size},{ordinal},"
-            f"{spell[latency]},{int(satisfied)},{spell[rew]}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = zip(
+        trace.cpu, trace.input_size, trace.ordinal, trace.latency, trace.satisfied, trace.reward
+    )
+    rows = (
+        f"{step},{spell[cpu]},{input_size},{ordinal},"
+        f"{spell[latency]},{satisfied},{spell[rew]}\n"
+        for step, (cpu, input_size, ordinal, latency, satisfied, rew) in enumerate(columns)
+    )
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(TRACE_FILE_HEADER + "\n")
+        f.writelines(rows)
 
 
 def _lock_owner(lock: Path) -> int | None:
@@ -383,7 +411,7 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
                 rng=np.random.default_rng(ctrl_ss),
             )
             episode = run_episode(env, controller, actions, env_ss, run_index=k)
-            write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.records)
+            write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.trace)
             if encoder:
                 qtable_save(controller.table, spec.qtable_path)
             all_metrics.append(episode.metrics)
@@ -418,9 +446,9 @@ def _write_metrics(path: Path, metrics: list[RunMetrics]) -> None:
     lines.append(
         "mean,{steps},{obj},{sat},{rew}".format(
             steps=sum(m.steps for m in metrics) // n,
-            obj=_fmt(sum(m.mean_objective for m in metrics) / n),
-            sat=_fmt(sum(m.latency_satisfaction_pct for m in metrics) / n),
-            rew=_fmt(sum(m.mean_reward for m in metrics) / n),
+            obj=_fmt(_sum(m.mean_objective for m in metrics) / n),
+            sat=_fmt(_sum(m.latency_satisfaction_pct for m in metrics) / n),
+            rew=_fmt(_sum(m.mean_reward for m in metrics) / n),
         )
     )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -487,7 +515,7 @@ def measure_overhead(
         rng=np.random.default_rng(seed + 1),
     )
     episode = run_episode(env, controller, actions, seed)
-    timed = np.asarray(episode.decide_ns[warmup:], dtype=np.float64) / 1e9
+    timed = np.frombuffer(episode.decide_ns, dtype=np.int64)[warmup:] / 1e9
     return OverheadReport(
         controller=controller_kind,
         steps=len(timed),
@@ -537,12 +565,41 @@ def emit_report(results: Sequence[CampaignResult], out_dir: str | Path) -> dict[
     bar_lines = [f"controller,mean_{objective_metric},mean_latency_satisfaction_pct"]
     for controller in controllers:
         rows = [r for r in results if r.controller == controller]
-        obj = sum(r.mean_over_runs("mean_objective") for r in rows) / len(rows)
-        sat = sum(r.mean_over_runs("latency_satisfaction_pct") for r in rows) / len(rows)
+        obj = _sum(r.mean_over_runs("mean_objective") for r in rows) / len(rows)
+        sat = _sum(r.mean_over_runs("latency_satisfaction_pct") for r in rows) / len(rows)
         bar_lines.append(f"{controller},{_fmt(obj)},{_fmt(sat)}")
     bar_path = out_dir / "bar_chart.csv"
     bar_path.write_text("\n".join(bar_lines) + "\n", encoding="utf-8")
     return {"summary": summary_path, "bar_chart": bar_path}
+
+
+def _trace_row(line: str, step: int, configs: int) -> tuple[int, int, float]:
+    """(ordinal, satisfied, reward) of the run-trace row due at ``step``.
+
+    Raises ValueError naming the first cell that a trace writer could not
+    have written.
+    """
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != len(_TRACE_COLUMNS):
+        raise ValueError(f"expected {len(_TRACE_COLUMNS)} cells, got {len(cells)}")
+    values = []
+    for name, cell, kind in zip(_TRACE_COLUMNS, cells, (int, float, int, int, float, int, float)):
+        try:
+            value = kind(cell)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name} {cell!r} is not {what}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{name} {cell!r} is not finite")
+        values.append(value)
+    row_step, _, _, ordinal, _, satisfied, rew = values
+    if row_step != step:
+        raise ValueError(f"step {row_step} where step {step} is due")
+    if not 0 <= ordinal < configs:
+        raise ValueError(f"ordinal {ordinal} is outside the {configs} configurations")
+    if satisfied not in (0, 1):
+        raise ValueError(f"satisfied {cells[5]!r} is not 0 or 1")
+    return ordinal, satisfied, rew
 
 
 def recompute_metrics_from_trace(
@@ -555,21 +612,26 @@ def recompute_metrics_from_trace(
 
     Used by the report verb and as a cross-check that summary metrics match
     what the traces imply.  Timing fields are not recoverable from traces
-    and come back as zero.
+    and come back as zero.  The file is read one row at a time; a malformed
+    row raises ValueError starting with ``<path>:<line>:``.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != TRACE_FILE_HEADER:
-        raise ValueError(f"{path}: not a run trace file")
     n = 0
     sum_obj = 0.0
     sum_sat = 0
     sum_reward = 0.0
-    for line in lines[1:]:
-        step, cpu, size, ordinal, latency, satisfied, rew = line.split(",")
-        sum_obj += profile.objective(sorted_configs[int(ordinal)].assignments)
-        sum_sat += int(satisfied)
-        sum_reward += float(rew)
-        n += 1
+    # A byte that is not UTF-8 reads as U+FFFD, which no cell parses.
+    with open(path, encoding="utf-8", errors="replace") as f:
+        if f.readline().rstrip("\n") != TRACE_FILE_HEADER:
+            raise ValueError(f"{path}: not a run trace file")
+        for lineno, line in enumerate(f, start=2):
+            try:
+                ordinal, satisfied, rew = _trace_row(line, n, len(sorted_configs))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            sum_obj += profile.objective(sorted_configs[ordinal].assignments)
+            sum_sat += satisfied
+            sum_reward += rew
+            n += 1
     if n == 0:
         raise ValueError(f"{path}: trace has no steps")
     return RunMetrics(

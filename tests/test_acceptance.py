@@ -259,13 +259,13 @@ def test_criterion_8_rapid_adaptation(
         "v2", table, face_requirement, greedy, rng=np.random.default_rng(1)
     )
     episode = run_episode(env, ctrl, actions, seed=3)
-    records = episode.records
+    trace = episode.trace
 
-    pre_drop = records[484].ordinal
-    adapted = any(r.ordinal > pre_drop for r in records[485:495])
-    returned = any(r.ordinal <= pre_drop for r in records[515:535])
-    window = records[475:545]
-    window_sat = sum(r.satisfied for r in window) / len(window)
+    pre_drop = trace.ordinal[484]
+    adapted = any(o > pre_drop for o in trace.ordinal[485:495])
+    returned = any(o <= pre_drop for o in trace.ordinal[515:535])
+    window = trace.satisfied[475:545]
+    window_sat = sum(window) / len(window)
     ok = adapted and returned and window_sat >= 0.90
     check(
         8,

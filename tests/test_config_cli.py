@@ -147,6 +147,43 @@ def test_cli_run_and_report_roundtrip(tmp_path, capsys):
     assert (out_root / "static-hp_random" / "runs" / "run_000.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "column,cell,complaint",
+    [
+        (3, "4", "ordinal 4 is outside the 4 configurations"),
+        (3, "-1", "ordinal -1 is outside the 4 configurations"),
+        (6, None, "expected 7 cells, got 6"),
+        (6, "abc", "reward 'abc' is not a number"),
+        (6, "nan", "reward 'nan' is not finite"),
+        (5, "2", "satisfied '2' is not 0 or 1"),
+        (2, "4.0", "input_size '4.0' is not an integer"),
+        (0, "9", "step 9 where step 2 is due"),
+    ],
+    ids=["ordinal-past-end", "ordinal-negative", "truncated", "non-numeric", "nan", "satisfied-2",
+         "size-not-integer", "step-out-of-order"],
+)
+def test_cli_report_refuses_malformed_run_trace(tmp_path, capsys, column, cell, complaint):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root)]) == 0
+    trace = out_root / "heuristic_random" / "runs" / "run_001.csv"
+    lines = trace.read_text().splitlines()
+    cells = lines[3].split(",")
+    if cell is None:
+        del cells[column:]
+    else:
+        cells[column] = cell
+    lines[3] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {trace}:4: {complaint}\n"
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
 def test_cli_run_trace_takes_either_spelling():
     args = build_parser().parse_args(["run", "--trace", "full-day", "--trace", "full_day"])
     assert args.trace == ["full_day", "full_day"]

@@ -15,5 +15,6 @@ def test_library_use_example_runs(capsys):
     namespace: dict = {}
     exec(compile(_python_block("Library use"), "README.md", "exec"), namespace)
     assert namespace["episode"].metrics.steps == 1100
+    assert len(namespace["episode"].trace) == 1100
     assert isinstance(namespace["out"].satisfied, bool)
     assert "RunMetrics(" in capsys.readouterr().out
