@@ -178,7 +178,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     sorted_configs = sort_by_objective(
         enumerate_configurations(cfg.topology),
         cfg.profile,
-        cfg.reference_input or cfg.profile.input_sizes[0],
+        cfg.profile.input_sizes[0],  # objectives do not depend on size: any one ranks alike
         sense=cfg.requirement.objective_sense,
     )
     out_root = Path(args.out)

@@ -56,7 +56,6 @@ class ExperimentConfig:
     action_count: int | str
     runs: int
     base_seed: int
-    reference_input: int | None
     out_dir: Path
     random_trace_length: int
     full_day_schedule: dict[int, int] | None = None
@@ -98,7 +97,6 @@ class ExperimentConfig:
                         action_count=self.action_count,
                         runs=runs if runs is not None else self.runs,
                         base_seed=base_seed if base_seed is not None else self.base_seed,
-                        reference_input=self.reference_input,
                     )
                 )
         return specs
@@ -256,7 +254,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         raw,
         "the top level",
         ("topology", "requirement", "profile", "controller", "trace", "cpu",
-         "runs", "base_seed", "reference_input", "out_dir"),
+         "runs", "base_seed", "out_dir"),
     )
 
     topology = (
@@ -324,8 +322,8 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         **{k: _number(v, f"controller.learning.{k}") for k, v in learning_node.items()}
     )
     action_count: int | str = controller_node.get("actions", 16)
-    if action_count != "all":
-        action_count = _integer(action_count, "controller.actions")
+    if action_count != "all" and _integer(action_count, "controller.actions") < 1:
+        raise ConfigError("controller.actions must be >= 1 or 'all', got 0")
 
     trace_node = _known_node(
         raw.get("trace", {}), "trace", ("kinds", "random_length", "full_day_schedule")
@@ -348,9 +346,6 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
 
-    reference_input = raw.get("reference_input")
-    if reference_input is not None:
-        reference_input = _integer(reference_input, "reference_input")
     return ExperimentConfig(
         topology=topology,
         requirement=requirement,
@@ -363,7 +358,6 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         action_count=action_count,
         runs=_integer(raw.get("runs", 50), "runs"),
         base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
-        reference_input=reference_input,
         out_dir=out_dir,
         random_trace_length=_integer(
             trace_node.get("random_length", 1000), "trace.random_length"

@@ -71,13 +71,10 @@ class LearningParams:
 @dataclass(frozen=True)
 class HeuristicParams:
     upgrade_after: int = 10
-    start_index: int = 0
 
     def __post_init__(self) -> None:
         if self.upgrade_after < 1:
             raise ValueError("upgrade_after must be >= 1")
-        if self.start_index < 0:
-            raise ValueError("start_index must be >= 0")
 
 
 def latency_bin(ratio: float | None) -> int:
@@ -346,11 +343,9 @@ class StaticController:
         pass
 
 
-def static_fast_index(
-    actions: list[Configuration], profile, reference_input: int
-) -> int:
-    """Index of the lowest-latency action at the reference input size."""
-    latencies = [profile.lookup(cfg, reference_input)[0] for cfg in actions]
+def static_fast_index(actions: list[Configuration], profile, input_size: int) -> int:
+    """Index of the lowest-latency action at ``input_size``."""
+    latencies = [profile.lookup(cfg, input_size)[0] for cfg in actions]
     return int(np.argmin(latencies))
 
 
@@ -368,15 +363,11 @@ class HeuristicController:
         if action_count < 1:
             raise ValueError("action_count must be >= 1")
         self.params = params or HeuristicParams()
-        if self.params.start_index >= action_count:
-            raise ValueError("start_index outside the action space")
         self._action_count = action_count
-        self._current = self.params.start_index
-        self._satisfied_streak = 0
-        self._started = False
+        self.reset()
 
     def reset(self) -> None:
-        self._current = self.params.start_index
+        self._current = 0
         self._satisfied_streak = 0
         self._started = False
 

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import defaults
 from .controllers import (
     ControllerObservation,
     HeuristicController,
@@ -39,7 +40,7 @@ from .controllers import (
     reward,
     static_fast_index,
 )
-from .profiling import ProfileTable
+from .profiling import ProfileTable, generate_synthetic_profile
 from .service_model import (
     Configuration,
     Requirement,
@@ -47,7 +48,7 @@ from .service_model import (
     enumerate_configurations,
     sort_by_objective,
 )
-from .simenv import TRACE_KINDS, CpuChain, CpuChainParams, Environment, InputTrace
+from .simenv import TRACE_KINDS, CpuChain, CpuChainParams, Environment, InputTrace, make_trace
 
 CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
 RL_ENCODERS = {"rl1": "v1", "rl2": "v2"}  # learner kind -> state encoder
@@ -161,7 +162,6 @@ class ExperimentSpec:
     action_count: int | str = 16
     runs: int = 50
     base_seed: int = 0
-    reference_input: int | None = None
 
     def __post_init__(self) -> None:
         if self.controller not in CONTROLLER_KINDS:
@@ -181,40 +181,44 @@ class ExperimentSpec:
 
     @property
     def reference_size(self) -> int:
-        return (
-            self.reference_input
-            if self.reference_input is not None
-            else self.profile.input_sizes[0]
-        )
+        """The smallest profiled input size, where ``static-fast`` picks its rung."""
+        return self.profile.input_sizes[0]
+
+
+def _set_up(spec: ExperimentSpec) -> tuple[list[Configuration], Environment]:
+    """``spec``'s action space (rungs spread over the ranked configurations) and environment."""
+    ranked = sort_by_objective(
+        enumerate_configurations(spec.topology),
+        spec.profile,
+        spec.reference_size,
+        sense=spec.requirement.objective_sense,
+    )
+    env = Environment(spec.profile, spec.requirement, spec.trace, CpuChain(spec.cpu_params))
+    return make_action_space(ranked, spec.action_count), env
 
 
 def build_controller(
-    kind: str,
+    spec: ExperimentSpec,
     actions: list[Configuration],
-    profile: ProfileTable,
-    requirement: Requirement,
-    reference_input: int,
-    heuristic_params: HeuristicParams,
-    learning_params: LearningParams,
     table: QTable | None = None,
     rng: np.random.Generator | None = None,
 ):
+    """``spec.controller`` over ``actions``; a learner without ``table`` starts from zeros."""
+    kind = spec.controller
     if kind == "static-hp":
         return StaticController(0, name=kind)
     if kind == "static-fast":
         return StaticController(
-            static_fast_index(actions, profile, reference_input), name=kind
+            static_fast_index(actions, spec.profile, spec.reference_size), name=kind
         )
     if kind == "heuristic":
-        return HeuristicController(len(actions), heuristic_params)
-    encoder = RL_ENCODERS.get(kind)
-    if encoder is not None:
-        if table is None:
-            table = QTable.zeros(encoder, len(actions))
-        return QLearningController(
-            encoder, table, requirement, learning_params, rng=rng, name=kind
-        )
-    raise ValueError(f"unknown controller {kind!r}")
+        return HeuristicController(len(actions), spec.heuristic_params)
+    encoder = RL_ENCODERS[kind]
+    if table is None:
+        table = QTable.zeros(encoder, len(actions))
+    return QLearningController(
+        encoder, table, spec.requirement, spec.learning_params, rng=rng, name=kind
+    )
 
 
 def run_episode(
@@ -377,52 +381,25 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
     file at the persistence path is overwritten) and chain the table through
     the remaining runs via save/load round trips.
     """
-    configs = enumerate_configurations(spec.topology)
-    sorted_configs = sort_by_objective(
-        configs, spec.profile, spec.reference_size, sense=spec.requirement.objective_sense
-    )
-    actions = make_action_space(sorted_configs, spec.action_count)
-    env = Environment(spec.profile, spec.requirement, spec.trace, CpuChain(spec.cpu_params))
+    actions, env = _set_up(spec)
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     encoder = RL_ENCODERS.get(spec.controller)
-
-    def _run_all() -> list[RunMetrics]:
-        all_metrics: list[RunMetrics] = []
+    metrics: list[RunMetrics] = []
+    with _persistence_lock(spec.qtable_path) if encoder else nullcontext():
         for k in range(spec.runs):
-            ss = np.random.SeedSequence(spec.base_seed + k)
-            env_ss, ctrl_ss = ss.spawn(2)
-            table = None
-            if encoder:
-                table = (
-                    QTable.zeros(encoder, len(actions))
-                    if k == 0
-                    else qtable_load_or_zeros(spec.qtable_path, encoder, len(actions))
-                )
-            controller = build_controller(
-                spec.controller,
-                actions,
-                spec.profile,
-                spec.requirement,
-                spec.reference_size,
-                spec.heuristic_params,
-                spec.learning_params,
-                table=table,
-                rng=np.random.default_rng(ctrl_ss),
+            env_ss, ctrl_ss = np.random.SeedSequence(spec.base_seed + k).spawn(2)
+            table = (
+                qtable_load_or_zeros(spec.qtable_path, encoder, len(actions))
+                if encoder and k
+                else None
             )
+            controller = build_controller(spec, actions, table, np.random.default_rng(ctrl_ss))
             episode = run_episode(env, controller, actions, env_ss, run_index=k)
             write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.trace)
             if encoder:
                 qtable_save(controller.table, spec.qtable_path)
-            all_metrics.append(episode.metrics)
-        return all_metrics
-
-    if encoder:
-        spec.qtable_path.parent.mkdir(parents=True, exist_ok=True)
-        with _persistence_lock(spec.qtable_path):
-            metrics = _run_all()
-    else:
-        metrics = _run_all()
+            metrics.append(episode.metrics)
 
     _write_metrics(spec.out_dir / "metrics.csv", metrics)
     _write_timings(spec.out_dir / "timings.csv", metrics)
@@ -480,9 +457,6 @@ def measure_overhead(
     The impact percentage relates the median decision time to a reference
     frame processing time, 70 ms by default.
     """
-    from . import defaults
-    from .simenv import make_trace
-
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0 < reference_frame_s < float("inf"):  # refuses NaN too
@@ -492,28 +466,20 @@ def measure_overhead(
     topology = topology or defaults.default_topology()
     requirement = requirement or defaults.default_requirement()
     if profile is None:
-        from .profiling import generate_synthetic_profile
-
         profile = generate_synthetic_profile(
             defaults.default_model(), topology, defaults.DEFAULT_INPUT_SIZES
         )
-    trace = make_trace("random", length=warmup + steps)
-    reference = profile.input_sizes[0]
-    configs = sort_by_objective(
-        enumerate_configurations(topology), profile, reference, sense=requirement.objective_sense
+    spec = ExperimentSpec(
+        topology=topology,
+        requirement=requirement,
+        profile=profile,
+        trace=make_trace("random", length=warmup + steps),
+        controller=controller_kind,
+        out_dir=Path(),  # nothing is written
+        action_count=action_count,
     )
-    actions = make_action_space(configs, action_count)
-    env = Environment(profile, requirement, trace)
-    controller = build_controller(
-        controller_kind,
-        actions,
-        profile,
-        requirement,
-        reference,
-        HeuristicParams(),
-        LearningParams(),
-        rng=np.random.default_rng(seed + 1),
-    )
+    actions, env = _set_up(spec)
+    controller = build_controller(spec, actions, rng=np.random.default_rng(seed + 1))
     episode = run_episode(env, controller, actions, seed)
     timed = np.frombuffer(episode.decide_ns, dtype=np.int64)[warmup:] / 1e9
     return OverheadReport(

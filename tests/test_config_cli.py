@@ -403,10 +403,13 @@ def _run_config(tmp_path, config_text, *extra):
         ("controller", "kind",
          MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]", "kind: [heuristic]")),
         ("trace", "kind", MINIMAL_TOPOLOGY.replace("kinds: [random]", "kind: [random]")),
+        ("controller.heuristic", "start_index",
+         MINIMAL_TOPOLOGY.replace("upgrade_after: 4", "start_index: 0")),
+        ("the top level", "reference_input", MINIMAL_TOPOLOGY + "reference_input: 6\n"),
     ],
     ids=["heuristic", "learning", "cpu", "top", "topology", "operator", "granularity",
          "learning-seed", "parameter", "requirement", "constraint", "profile", "model",
-         "controller", "trace"],
+         "controller", "trace", "heuristic-start-index", "reference-input"],
 )
 def test_cli_run_rejects_unknown_parameter_key(tmp_path, capsys, section, key, config_text):
     status = _run_config(tmp_path, config_text)
@@ -462,7 +465,6 @@ def test_cli_run_rejects_bad_base_seed_before_any_campaign(
          "trace.random_length"),
         (MINIMAL_TOPOLOGY.replace("input_sizes: [1, 4, 16]", "input_sizes: [1, 4.5, 16]"),
          "profile.input_sizes"),
-        (MINIMAL_TOPOLOGY + "reference_input: 4.0\n", "reference_input"),
         (MINIMAL_TOPOLOGY.replace("upgrade_after: 4", "upgrade_after: 4.7"),
          "controller.heuristic.upgrade_after"),
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full_day]\n"
@@ -470,7 +472,7 @@ def test_cli_run_rejects_bad_base_seed_before_any_campaign(
          "trace.full_day_schedule"),
     ],
     ids=["runs-fraction", "runs-bool", "actions-fraction", "actions-text", "random-length-text",
-         "input-size-fraction", "reference-input-float", "heuristic-fraction",
+         "input-size-fraction", "heuristic-fraction",
          "schedule-fraction"],
 )
 def test_cli_run_rejects_non_integer_field_before_any_campaign(
@@ -510,6 +512,11 @@ def _assert_refused_before_any_campaign(tmp_path, capsys, status, *named):
         assert text in captured.err, captured.err
     assert "running" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
+    status = _run_config(tmp_path, MINIMAL_TOPOLOGY.replace("actions: all", "actions: 0"))
+    _assert_refused_before_any_campaign(tmp_path, capsys, status, "controller.actions")
 
 
 @pytest.mark.parametrize(

@@ -525,16 +525,18 @@ def test_heuristic_degrades_every_violation():
 
 
 def test_heuristic_upgrade_counter():
-    ctrl = HeuristicController(16, HeuristicParams(upgrade_after=2, start_index=5))
+    ctrl = HeuristicController(16, HeuristicParams(upgrade_after=2))
     chosen = [ctrl.decide(ControllerObservation(cpu_availability=1.0))]
-    for _ in range(5):
-        chosen.append(ctrl.decide(obs(ratio=0.5, last=chosen[-1], objective=0.5)))
-    assert chosen == [5, 5, 4, 4, 3, 3]
+    for ratio in [2.0] * 5 + [0.5] * 5:  # five violations reach rung 5, then satisfied
+        chosen.append(ctrl.decide(obs(ratio=ratio, last=chosen[-1], objective=0.5)))
+    assert chosen == [0, 1, 2, 3, 4, 5, 5, 4, 4, 3, 3]
 
 
 def test_heuristic_saturates_at_both_ends():
-    ctrl = HeuristicController(3, HeuristicParams(upgrade_after=1, start_index=2))
-    assert ctrl.decide(ControllerObservation(cpu_availability=1.0)) == 2
+    ctrl = HeuristicController(3, HeuristicParams(upgrade_after=1))
+    assert ctrl.decide(ControllerObservation(cpu_availability=1.0)) == 0
+    assert ctrl.decide(obs(ratio=2.0, last=0, objective=0.5)) == 1
+    assert ctrl.decide(obs(ratio=2.0, last=1, objective=0.5)) == 2
     assert ctrl.decide(obs(ratio=2.0, last=2, objective=0.5)) == 2  # worst rung holds
     ctrl2 = HeuristicController(3, HeuristicParams(upgrade_after=1))
     assert ctrl2.decide(ControllerObservation(cpu_availability=1.0)) == 0
@@ -554,8 +556,11 @@ def test_heuristic_steps_change_by_at_most_one():
 
 
 def test_heuristic_returns_to_last_working_rung_after_failed_upgrade():
-    ctrl = HeuristicController(16, HeuristicParams(upgrade_after=1, start_index=8))
-    assert ctrl.decide(ControllerObservation(cpu_availability=1.0)) == 8
+    ctrl = HeuristicController(16, HeuristicParams(upgrade_after=1))
+    rung = ctrl.decide(ControllerObservation(cpu_availability=1.0))
+    for _ in range(8):  # eight violations reach rung 8
+        rung = ctrl.decide(obs(ratio=1.4, last=rung, objective=0.5))
+    assert rung == 8
     assert ctrl.decide(obs(ratio=0.5, last=8, objective=0.5)) == 7  # upgrade
     assert ctrl.decide(obs(ratio=1.4, last=7, objective=0.5)) == 8  # back down
 

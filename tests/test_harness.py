@@ -15,6 +15,7 @@ from adaptsim import harness
 from adaptsim.controllers import StaticController, make_action_space, qtable_load
 from adaptsim.defaults import default_topology
 from adaptsim.harness import (
+    CONTROLLER_KINDS,
     TRACE_FILE_HEADER,
     CampaignLockError,
     EpisodeTrace,
@@ -286,6 +287,13 @@ def test_measure_overhead_rl_includes_update():
     report = measure_overhead("rl2", steps=2000, warmup=200)
     assert report.decide_median_s > 0
     assert report.impact_pct < 5.0
+
+
+@pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+def test_measure_overhead_builds_every_controller(kind):
+    report = measure_overhead(kind, steps=300, warmup=30)
+    assert (report.controller, report.steps) == (kind, 300)
+    assert 0 < report.decide_median_s <= report.decide_p99_s
 
 
 # Any float a trace column can hold: signed zeros, infinities, NaN,
