@@ -211,8 +211,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         )
     if not results:
-        print(f"no campaign directories with run traces under {out_root}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no campaign directories with run traces under {out_root}")
     paths = emit_report(results, out_root)
     print(f"summary: {paths['summary']}")
     _print_summary(results)

@@ -385,21 +385,10 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     encoder = RL_ENCODERS.get(spec.controller)
-    metrics: list[RunMetrics] = []
     with _persistence_lock(spec.qtable_path) if encoder else nullcontext():
-        for k in range(spec.runs):
-            env_ss, ctrl_ss = np.random.SeedSequence(spec.base_seed + k).spawn(2)
-            table = (
-                qtable_load_or_zeros(spec.qtable_path, encoder, len(actions))
-                if encoder and k
-                else None
-            )
-            controller = build_controller(spec, actions, table, np.random.default_rng(ctrl_ss))
-            episode = run_episode(env, controller, actions, env_ss, run_index=k)
-            write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.trace)
-            if encoder:
-                qtable_save(controller.table, spec.qtable_path)
-            metrics.append(episode.metrics)
+        metrics = [
+            _run_once(spec, actions, env, k, runs_dir, encoder) for k in range(spec.runs)
+        ]
 
     _write_metrics(spec.out_dir / "metrics.csv", metrics)
     _write_timings(spec.out_dir / "timings.csv", metrics)
@@ -410,6 +399,32 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
         metrics=metrics,
         out_dir=spec.out_dir,
     )
+
+
+def _run_once(
+    spec: ExperimentSpec,
+    actions: list[Configuration],
+    env: Environment,
+    k: int,
+    runs_dir: Path,
+    encoder: str | None,
+) -> RunMetrics:
+    """Run ``k`` of ``spec``: write its trace and, for a learner, save its table.
+
+    The controller, its table and the episode live only inside this call, so
+    run k's table is freed before run k+1 loads its copy: a campaign never
+    holds two tables at once.
+    """
+    env_ss, ctrl_ss = np.random.SeedSequence(spec.base_seed + k).spawn(2)
+    table = (
+        qtable_load_or_zeros(spec.qtable_path, encoder, len(actions)) if encoder and k else None
+    )
+    controller = build_controller(spec, actions, table, np.random.default_rng(ctrl_ss))
+    episode = run_episode(env, controller, actions, env_ss, run_index=k)
+    write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.trace)
+    if encoder:
+        qtable_save(controller.table, spec.qtable_path)
+    return episode.metrics
 
 
 def _write_metrics(path: Path, metrics: list[RunMetrics]) -> None:
@@ -459,6 +474,8 @@ def measure_overhead(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     if not 0 < reference_frame_s < float("inf"):  # refuses NaN too
         raise ValueError(
             f"reference frame time must be a finite number > 0, got {reference_frame_s} s"

@@ -184,6 +184,14 @@ def test_cli_report_refuses_malformed_run_trace(tmp_path, capsys, column, cell, 
     assert (out_root / "summary.csv").read_bytes() == summary
 
 
+def test_cli_report_refuses_a_directory_without_campaigns(tmp_path, capsys):
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: no campaign directories with run traces under {tmp_path}\n"
+    assert out == ""
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_cli_run_trace_takes_either_spelling():
     args = build_parser().parse_args(["run", "--trace", "full-day", "--trace", "full_day"])
     assert args.trace == ["full_day", "full_day"]

@@ -149,6 +149,30 @@ def test_rl_campaign_restarts_from_zeros(tmp_path, face_profile, face_topology, 
     assert first.mean_reward == again.mean_reward
 
 
+@pytest.mark.parametrize("kind", ["rl1", "rl2"])
+def test_learner_campaign_holds_one_table_at_a_time(
+    tmp_path, face_profile, face_topology, face_requirement, kind
+):
+    # With every configuration an action, an rl2 table is 4 608 x 512 cells of
+    # float64 value and int64 visit count: 37.7 MB.  Keeping run k's table
+    # alive while run k+1 loads its copy peaked at 2.0 (rl2) and 2.2 (rl1)
+    # tables; one live table at a time peaks at 1.1 and 1.3.
+    spec = spec_for(
+        tmp_path, kind, face_profile, face_topology, face_requirement,
+        trace=make_trace("random", length=300), action_count="all", runs=3,
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = qtable_load(spec.qtable_path)
+    assert table.action_count == 512
+    one_table = table.values.nbytes + table.visit_counts.nbytes
+    assert peak < 1.5 * one_table, peak / one_table
+
+
 def test_persistence_lock_collision(tmp_path, face_profile, face_topology, face_requirement):
     spec = spec_for(tmp_path, "rl2", face_profile, face_topology, face_requirement, runs=1)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,6 +311,11 @@ def test_measure_overhead_rl_includes_update():
     report = measure_overhead("rl2", steps=2000, warmup=200)
     assert report.decide_median_s > 0
     assert report.impact_pct < 5.0
+
+
+def test_measure_overhead_refuses_negative_warmup():
+    with pytest.raises(ValueError, match="^warmup must be >= 0, got -10$"):
+        measure_overhead("heuristic", steps=100, warmup=-10)
 
 
 @pytest.mark.parametrize("kind", CONTROLLER_KINDS)

@@ -145,10 +145,24 @@ def test_sort_512_extremes_match_brute_force(face_topology, face_profile, face_s
     assert face_sorted_configs[-1].ordinal == 511
 
 
+@st.composite
+def value_counts(draw, max_product=100_000):
+    """1-10 parameters of 1-6 values each, at most ``max_product`` configurations.
+
+    Unbounded, 10 parameters of 6 values are 6^10 = 60.5 M configurations,
+    more memory than a test machine has; each count is drawn below the room
+    the earlier ones leave, then the order is shuffled.
+    """
+    counts, product = [], 1
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        n = draw(st.integers(min_value=1, max_value=min(6, max_product // product)))
+        counts.append(n)
+        product *= n
+    return draw(st.permutations(counts))
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=10)
-)
+@given(value_counts())
 def test_enumeration_size_matches_product(counts):
     topo = topology_with_counts(counts)
     configs = enumerate_configurations(topo)
