@@ -173,6 +173,19 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_trace_paths(runs_dir: Path) -> list[Path]:
+    """``runs_dir``'s run traces in run order; a gap in the numbering raises ValueError."""
+    found = set(runs_dir.glob("run_*.csv"))
+    paths = [runs_dir / f"run_{k:03d}.csv" for k in range(len(found))]
+    for path in paths:
+        if path not in found:
+            raise ValueError(
+                f"{path} is missing: a campaign's run traces are numbered "
+                "from run_000.csv without a gap"
+            )
+    return paths
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sorted_configs = sort_by_objective(
@@ -195,9 +208,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 break
         if not controller:
             continue
+        paths = _run_trace_paths(runs_dir)
         metrics = [
             recompute_metrics_from_trace(path, sorted_configs, cfg.profile, run_index=i)
-            for i, path in enumerate(sorted(runs_dir.glob("run_*.csv")))
+            for i, path in enumerate(paths)
         ]
         if not metrics:
             continue

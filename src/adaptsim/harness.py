@@ -13,12 +13,13 @@ timings land in a separate file.
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 import time
 from array import array
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -94,6 +95,11 @@ class EpisodeTrace:
     satisfied: array = field(default_factory=partial(array, "b"))  # 0 or 1
     reward: array = field(default_factory=partial(array, "d"))
     objective: array = field(default_factory=partial(array, "d"))
+
+    @classmethod
+    def zeros(cls, n: int) -> EpisodeTrace:
+        """``n`` frames of zeros, each column allocated once at its length."""
+        return cls(*(array(f.default_factory().typecode, [0]) * n for f in fields(cls)))
 
     def __len__(self) -> int:
         return len(self.cpu)
@@ -235,20 +241,20 @@ def run_episode(
     controller.reset()
     obs = ControllerObservation(cpu_availability=state.cpu_availability)
     cpu_used, size_used = state.cpu_availability, state.input_size
-    trace = EpisodeTrace()
-    decide_ns = array("q")
-    # Bound appends: one attribute lookup per column per episode, not per frame.
-    add_ns = decide_ns.append
-    add_cpu, add_size, add_ordinal = trace.cpu.append, trace.input_size.append, trace.ordinal.append
-    add_latency, add_satisfied = trace.latency.append, trace.satisfied.append
-    add_reward, add_objective = trace.reward.append, trace.objective.append
+    # Every column is allocated once at the episode's length; frame t is written at index t.
+    trace = EpisodeTrace.zeros(env.length)
+    decide_ns = array("q", [0]) * env.length
+    # Local names: one attribute lookup per column per episode, not per frame.
+    cpu_col, size_col, ordinal_col = trace.cpu, trace.input_size, trace.ordinal
+    latency_col, satisfied_col = trace.latency, trace.satisfied
+    reward_col, objective_col = trace.reward, trace.objective
     decide = controller.decide
     env_step = env.step
     clock = time.perf_counter_ns
-    for _ in range(env.length):
+    for t in range(env.length):
         t0 = clock()
         action_index = decide(obs)
-        add_ns(clock() - t0)
+        decide_ns[t] = clock() - t0
         config = actions[action_index]
         latency, objective, satisfied, observation, _ = env_step(config)
         # Positional construction in field order: keywords cost more per step.
@@ -259,13 +265,13 @@ def run_episode(
             satisfied,
             objective,
         )
-        add_cpu(cpu_used)
-        add_size(size_used)
-        add_ordinal(config.ordinal)
-        add_latency(latency)
-        add_satisfied(satisfied)
-        add_reward(reward(obs, requirement))
-        add_objective(objective)
+        cpu_col[t] = cpu_used
+        size_col[t] = size_used
+        ordinal_col[t] = config.ordinal
+        latency_col[t] = latency
+        satisfied_col[t] = satisfied
+        reward_col[t] = reward(obs, requirement)
+        objective_col[t] = objective
         cpu_used, size_used = observation.cpu_availability, observation.input_size
     controller.finish(obs)
     return EpisodeResult(
@@ -275,29 +281,43 @@ def run_episode(
     )
 
 
+def _decide_quantiles(decide_ns: array) -> tuple[float, float]:
+    """(median, p99) of decide() wall times given in ns, in seconds: one partition."""
+    times = np.frombuffer(decide_ns, dtype=np.int64) / 1e9
+    median, p99 = np.percentile(times, [50, 99])
+    return float(median), float(p99)
+
+
 def _metrics(run_index: int, trace: EpisodeTrace, decide_ns: array) -> RunMetrics:
     n = len(trace)
-    times = np.frombuffer(decide_ns, dtype=np.int64) / 1e9
+    median, p99 = _decide_quantiles(decide_ns)
     return RunMetrics(
         run_index=run_index,
         steps=n,
         mean_objective=_sum(trace.objective) / n,
         latency_satisfaction_pct=100.0 * sum(trace.satisfied) / n,
         mean_reward=_sum(trace.reward) / n,
-        decide_median_s=float(np.percentile(times, 50)),
-        decide_p99_s=float(np.percentile(times, 99)),
+        decide_median_s=median,
+        decide_p99_s=p99,
     )
 
 
-class _Spellings(dict):
-    """float -> ``repr(float(x))``, computed once per distinct value.
+_SPELLINGS_CAP = 4096  # entries; the cache is emptied when it reaches this
 
-    Zero is never stored: 0.0 and -0.0 are equal keys but spell differently.
+
+class _Spellings(dict):
+    """float -> ``repr(float(x))``, for at most ``_SPELLINGS_CAP`` values at a time.
+
+    Neither zero (0.0 and -0.0 are equal keys but spell differently) nor NaN
+    (never equal to itself, so never found again) is stored.  Emptying the
+    cache when full keeps the writer's memory constant, whatever the trace.
     """
 
     def __missing__(self, x: float) -> str:
         spelled = repr(float(x))
-        if x:
+        if x and x == x:
+            if len(self) >= _SPELLINGS_CAP:
+                self.clear()
             self[x] = spelled
         return spelled
 
@@ -337,10 +357,54 @@ def _is_running(pid: int) -> bool:
     return True
 
 
+def _take_over(lock: Path, path: Path) -> int:
+    """A descriptor holding the existing ``lock`` under ``flock``, once it is known stale.
+
+    The PID is read under the flock, from the file the path still names, and
+    overwritten in place: of two campaigns that find the same stale lock,
+    exactly one gets the flock and the other is refused.
+    """
+    changed = f"{lock} changed while being checked: another campaign is using {path}"
+    try:
+        fd = os.open(lock, os.O_WRONLY)
+    except FileNotFoundError:
+        raise CampaignLockError(changed) from None
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CampaignLockError(
+                f"{lock} is held by a running campaign: another campaign is using {path}"
+            ) from None
+        try:
+            same_file = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except FileNotFoundError:
+            same_file = False
+        if not same_file:
+            raise CampaignLockError(changed)
+        owner = _lock_owner(lock)
+        if owner is None:
+            raise CampaignLockError(
+                f"{lock} exists: another campaign appears to be using {path}; "
+                "remove the lock file if that campaign is no longer running"
+            )
+        if _is_running(owner):
+            raise CampaignLockError(
+                f"{lock} is held by running process {owner}: "
+                f"another campaign is using {path}"
+            )
+        os.ftruncate(fd, 0)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
 @contextmanager
 def _persistence_lock(path: Path):
     """Hold ``<path>.lock`` (holding this process's PID) for the block.
 
+    The holder keeps an exclusive ``flock`` on the file for the whole block.
     A lock whose PID names no running process was left by a killed campaign
     and is taken over; a lock without a PID is always refused.
     """
@@ -348,30 +412,16 @@ def _persistence_lock(path: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        owner = _lock_owner(lock)
-        if owner is None:
-            raise CampaignLockError(
-                f"{lock} exists: another campaign appears to be using {path}; "
-                "remove the lock file if that campaign is no longer running"
-            ) from None
-        if _is_running(owner):
-            raise CampaignLockError(
-                f"{lock} is held by running process {owner}: "
-                f"another campaign is using {path}"
-            ) from None
-        lock.unlink(missing_ok=True)
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise CampaignLockError(
-                f"{lock} was taken by another campaign while replacing a stale lock"
-            ) from None
+        fd = _take_over(lock, path)
+    else:
+        # Until the PID is written, a taker reads none and lets go at once.
+        fcntl.flock(fd, fcntl.LOCK_EX)
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         yield
     finally:
-        os.close(fd)
         lock.unlink(missing_ok=True)
+        os.close(fd)  # releases the flock after the path is gone
 
 
 def run_experiment(spec: ExperimentSpec) -> CampaignResult:
@@ -498,12 +548,13 @@ def measure_overhead(
     actions, env = _set_up(spec)
     controller = build_controller(spec, actions, rng=np.random.default_rng(seed + 1))
     episode = run_episode(env, controller, actions, seed)
-    timed = np.frombuffer(episode.decide_ns, dtype=np.int64)[warmup:] / 1e9
+    timed = episode.decide_ns[warmup:]
+    median, p99 = _decide_quantiles(timed)
     return OverheadReport(
         controller=controller_kind,
         steps=len(timed),
-        decide_median_s=float(np.percentile(timed, 50)),
-        decide_p99_s=float(np.percentile(timed, 99)),
+        decide_median_s=median,
+        decide_p99_s=p99,
         reference_frame_s=reference_frame_s,
     )
 

@@ -184,6 +184,26 @@ def test_cli_report_refuses_malformed_run_trace(tmp_path, capsys, column, cell, 
     assert (out_root / "summary.csv").read_bytes() == summary
 
 
+@pytest.mark.parametrize("gone", ["run_000.csv", "run_001.csv"])
+def test_cli_report_refuses_a_missing_run_trace(tmp_path, capsys, gone):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root), "--runs", "3"]) == 0
+    missing = out_root / "heuristic_random" / "runs" / gone
+    missing.unlink()
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: {missing} is missing: a campaign's run traces are numbered "
+        "from run_000.csv without a gap\n"
+    )
+    assert out == ""
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
 def test_cli_report_refuses_a_directory_without_campaigns(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 1
     out, err = capsys.readouterr()

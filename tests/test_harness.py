@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -230,6 +231,47 @@ def test_lock_holds_the_owner_pid_while_the_campaign_runs(
     assert not lock.exists()
 
 
+def reaped_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: its PID no longer names a running process
+    return child.pid
+
+
+def test_a_stale_lock_is_taken_over_by_one_campaign_only(tmp_path, monkeypatch):
+    path = tmp_path / "qtable.txt"
+    lock = tmp_path / "qtable.txt.lock"
+    stale = reaped_pid()
+    lock.write_text(f"{stale}\n")
+    with harness._persistence_lock(path):  # campaign A takes the stale lock over
+        # Campaign B read the same stale PID before A wrote its own.
+        monkeypatch.setattr(harness, "_lock_owner", lambda lock: stale)
+        with pytest.raises(CampaignLockError):
+            with harness._persistence_lock(path):
+                pass
+        assert lock.read_text() == f"{os.getpid()}\n"
+    assert not lock.exists()
+
+
+def test_a_stale_lock_replaced_during_the_takeover_is_refused(tmp_path, monkeypatch):
+    # Between opening the stale lock and locking it, the file at the path is
+    # replaced: the takeover must not claim a file the path no longer names.
+    path = tmp_path / "qtable.txt"
+    lock = tmp_path / "qtable.txt.lock"
+    lock.write_text(f"{reaped_pid()}\n")
+    real_flock = harness.fcntl.flock
+
+    def replace_then_flock(fd, op):
+        lock.unlink()
+        lock.write_text(f"{reaped_pid()}\n")
+        real_flock(fd, op)
+
+    monkeypatch.setattr(harness.fcntl, "flock", replace_then_flock)
+    with pytest.raises(CampaignLockError, match="changed"):
+        with harness._persistence_lock(path):
+            pass
+    assert lock.exists()
+
+
 def test_pareto_sanity_across_traces(tmp_path, face_profile, face_topology, face_requirement):
     # every elastic controller beats fast-static on objective and
     # high-precision-static on satisfaction, on each trace kind
@@ -413,6 +455,60 @@ def test_episode_columns_hold_less_than_records_did(face_profile, face_requireme
     assert len(episode.trace) == frames
     assert held_per_frame < 128, held_per_frame
     assert writer_peak < 2_500_000, writer_peak
+
+
+def test_episode_columns_are_allocated_at_their_length(face_profile, face_requirement):
+    # Appending frame by frame left each column with growth slack past its end.
+    frames = 1_100
+    configs = sort_by_objective(
+        enumerate_configurations(default_topology()), face_profile, face_profile.input_sizes[0]
+    )
+    env = Environment(face_profile, face_requirement, make_trace("variable", length=frames))
+    episode = run_episode(env, StaticController(0), make_action_space(configs, 16), 3)
+    columns = {f.name: getattr(episode.trace, f.name) for f in fields(EpisodeTrace)}
+    columns["decide_ns"] = episode.decide_ns
+    for name, column in columns.items():
+        assert len(column) == frames, name
+        held = sys.getsizeof(column) - sys.getsizeof(array(column.typecode))
+        assert held == frames * column.itemsize, name
+
+
+def test_write_run_trace_memory_does_not_grow_with_the_trace(tmp_path):
+    # 120 000 frames of distinct floats, one cell in eight NaN.  Keeping the
+    # spelling of every distinct value (and a new entry per NaN) peaked at
+    # tens of MB.
+    frames = 120_000
+    rng = np.random.default_rng(5)
+
+    def column(code, values):
+        out = array(code)
+        out.frombytes(values.tobytes())
+        return out
+
+    floats = rng.random((3, frames))
+    floats[:, ::8] = np.nan
+    trace = EpisodeTrace(
+        cpu=column("d", floats[0]),
+        input_size=column("q", rng.integers(1, 50, frames)),
+        ordinal=column("q", rng.integers(0, 16, frames)),
+        latency=column("d", floats[1]),
+        satisfied=column("b", rng.integers(0, 2, frames, dtype=np.int8)),
+        reward=column("d", floats[2]),
+        objective=column("d", np.zeros(frames)),
+    )
+    path = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_run_trace(path, trace)
+        writer_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert writer_peak < 1_000_000, writer_peak
+    lines = path.read_text().splitlines()
+    assert len(lines) == frames + 1
+    assert lines[1].split(",")[1] == "nan"
+    assert lines[2].split(",")[1] == repr(float(floats[0, 1]))
 
 
 def test_every_metric_sums_left_to_right(tmp_path, face_sorted_configs, face_profile):
