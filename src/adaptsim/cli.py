@@ -173,8 +173,10 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_trace_paths(runs_dir: Path) -> list[Path]:
-    """``runs_dir``'s run traces in run order; a gap in the numbering raises ValueError."""
+def _run_trace_paths(campaign_dir: Path) -> list[Path]:
+    """``campaign_dir``'s run traces in run order.  A gap in the numbering, or
+    a count other than the run rows of its ``metrics.csv``, raises ValueError."""
+    runs_dir = campaign_dir / "runs"
     found = set(runs_dir.glob("run_*.csv"))
     paths = [runs_dir / f"run_{k:03d}.csv" for k in range(len(found))]
     for path in paths:
@@ -183,6 +185,13 @@ def _run_trace_paths(runs_dir: Path) -> list[Path]:
                 f"{path} is missing: a campaign's run traces are numbered "
                 "from run_000.csv without a gap"
             )
+    metrics = campaign_dir / "metrics.csv"
+    rows = metrics.read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    listed = sum(1 for row in rows if not row.startswith("mean,"))
+    if listed != len(paths):
+        raise ValueError(
+            f"{runs_dir} holds {len(paths)} run traces, but {metrics} lists {listed} runs"
+        )
     return paths
 
 
@@ -208,7 +217,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 break
         if not controller:
             continue
-        paths = _run_trace_paths(runs_dir)
+        paths = _run_trace_paths(campaign_dir)
         metrics = [
             recompute_metrics_from_trace(path, sorted_configs, cfg.profile, run_index=i)
             for i, path in enumerate(paths)

@@ -17,6 +17,7 @@ tuple maps to exactly one row.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,6 +135,27 @@ def reward(obs: ControllerObservation, requirement: Requirement) -> float:
     return value if requirement.objective_sense == "maximize" else -value
 
 
+def _zeros_on_demand(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zeroed, writable, C-contiguous array on a private anonymous map.
+
+    The kernel backs a page only once it is written, and huge pages are off
+    for the map, so a table is resident only for the rows a learner writes.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    nbytes = count * dtype.itemsize
+    try:
+        buf = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except (OSError, OverflowError):
+        raise MemoryError(
+            f"Unable to allocate {nbytes} bytes for an array with shape {shape} "
+            f"and data type {dtype}"
+        ) from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
 class QTable:
     """Dense state x action expected-reward estimates plus visit counts.
 
@@ -155,8 +177,8 @@ class QTable:
         rows = state_count(encoder, action_count)
         return cls(
             encoder,
-            np.zeros((rows, action_count), dtype=np.float64),
-            np.zeros((rows, action_count), dtype=np.int64),
+            _zeros_on_demand((rows, action_count), np.float64),
+            _zeros_on_demand((rows, action_count), np.int64),
         )
 
     @property
@@ -172,7 +194,28 @@ class QTable:
         return int(self.visit_counts.sum())
 
     def copy(self) -> "QTable":
-        return QTable(self.encoder, self.values.copy(), self.visit_counts.copy())
+        """A bit-equal copy that writes only the row blocks holding a cell."""
+        values = _zeros_on_demand(self.values.shape, self.values.dtype)
+        visits = _zeros_on_demand(self.visit_counts.shape, self.visit_counts.dtype)
+        for start, held in _held_cells(self):
+            if held.any():
+                end = start + len(held)
+                values[start:end] = self.values[start:end]
+                visits[start:end] = self.visit_counts[start:end]
+        return QTable(self.encoder, values, visits)
+
+
+_SCAN_CELLS = 1 << 16
+
+
+def _held_cells(table: QTable):
+    """Yield ``(first row, mask)`` per block of about 64 Ki cells, the mask
+    marking each cell not at (+0.0, 0); blocks keep the masks small."""
+    step = max(1, _SCAN_CELLS // max(1, table.action_count))
+    for start in range(0, table.state_count, step):
+        values = table.values[start : start + step]
+        visits = table.visit_counts[start : start + step]
+        yield start, (values != 0) | np.signbit(values) | (visits != 0)  # -0.0 too
 
 
 def q_update(
@@ -224,10 +267,13 @@ def qtable_save(table: QTable, path: str | Path) -> None:
     <visits>`` per cell not at (+0.0, 0), row-major, to ``<path>.tmp``; sync it
     and rename it onto ``path``, so a crash keeps the old table.  Loads bit-exact."""
     values, visits = table.values, table.visit_counts
-    at = np.nonzero((values != 0) | np.signbit(values) | (visits != 0))  # lists -0.0 too
-    cells = zip(at[0].tolist(), at[1].tolist(), values[at].tolist(), visits[at].tolist())
     lines = [f"{table.encoder} {table.state_count} {table.action_count}"]
-    lines += [f"{r} {c} {v!r} {n}" for r, c, v, n in cells]
+    for start, held in _held_cells(table):
+        rows, cols = np.nonzero(held)
+        rows += start
+        cells = zip(rows.tolist(), cols.tolist(), values[rows, cols].tolist(),
+                    visits[rows, cols].tolist())
+        lines += [f"{r} {c} {v!r} {n}" for r, c, v, n in cells]
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -256,8 +302,8 @@ def qtable_load(path: str | Path) -> QTable:
         raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}") from None
     if encoder not in ENCODERS:
         raise ValueError(f"{path}: line 1: unknown state encoder {encoder!r}")
-    values = np.zeros((rows, cols), dtype=np.float64)
-    visits = np.zeros((rows, cols), dtype=np.int64)
+    values = _zeros_on_demand((rows, cols), np.float64)
+    visits = _zeros_on_demand((rows, cols), np.int64)
     listed = set()
     for number, line in enumerate(lines[1:], 2):
         try:

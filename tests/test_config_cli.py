@@ -204,6 +204,27 @@ def test_cli_report_refuses_a_missing_run_trace(tmp_path, capsys, gone):
     assert (out_root / "summary.csv").read_bytes() == summary
 
 
+def test_cli_report_refuses_a_deleted_last_run_trace(tmp_path, capsys):
+    # No gap in the numbering: only the campaign's metrics.csv tells that a
+    # third run trace is gone.
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root), "--runs", "3"]) == 0
+    campaign = out_root / "heuristic_random"
+    (campaign / "runs" / "run_002.csv").unlink()
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: {campaign / 'runs'} holds 2 run traces, but "
+        f"{campaign / 'metrics.csv'} lists 3 runs\n"
+    )
+    assert out == ""
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
 def test_cli_report_refuses_a_directory_without_campaigns(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 1
     out, err = capsys.readouterr()

@@ -355,6 +355,62 @@ def test_qtable_save_matches_reference_bytes_and_loads_bit_exact(tmp_path, table
     assert sorted(p.name for p in tmp_path.iterdir()) == ["q.txt"]  # no temp file left
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables(), scan_cells=st.integers(1, 40))
+def test_qtable_save_and_copy_scan_in_blocks(tmp_path, monkeypatch, table, scan_cells):
+    # Blocks of a few cells: rows of the later blocks must be offset by the
+    # block's first row, and a block without a held cell is skipped.
+    monkeypatch.setattr(controllers, "_SCAN_CELLS", scan_cells)
+    path = tmp_path / "q.txt"
+    qtable_save(table, path)
+    assert path.read_bytes() == _reference_qtable_text(table).encode("utf-8")
+    copied = table.copy()
+    assert np.array_equal(copied.values.view(np.int64), table.values.view(np.int64))
+    assert np.array_equal(copied.visit_counts, table.visit_counts)
+
+
+def test_qtable_copy_is_bit_equal_and_independent():
+    table = QTable.zeros("v2", 512)
+    table.values[7, 3] = -0.0
+    table.values[4000, 511] = 0.25
+    table.visit_counts[4000, 511] = 3
+    table.visit_counts[2, 0] = 1
+    copied = table.copy()
+    assert copied.encoder == "v2"
+    assert np.array_equal(copied.values.view(np.int64), table.values.view(np.int64))
+    assert np.array_equal(copied.visit_counts, table.visit_counts)
+    assert math.copysign(1.0, copied.values[7, 3]) == -1.0
+    copied.values[4000, 511] = 1.0
+    copied.visit_counts[2, 0] = 9
+    assert table.values[4000, 511] == 0.25
+    assert table.visit_counts[2, 0] == 1
+
+
+def _constructed_tables(tmp_path):
+    zeros = QTable.zeros("v1", 8)
+    qtable_save(zeros, tmp_path / "q.txt")
+    return {"zeros": zeros, "load": qtable_load(tmp_path / "q.txt"), "copy": zeros.copy()}
+
+
+@pytest.mark.parametrize("how", ["zeros", "load", "copy"])
+def test_qtable_arrays_are_zero_writable_and_c_contiguous(tmp_path, how):
+    table = _constructed_tables(tmp_path)[how]
+    for array, dtype in ((table.values, np.float64), (table.visit_counts, np.int64)):
+        assert array.shape == (24, 8)
+        assert array.dtype == dtype
+        assert array.flags.writeable
+        assert array.flags.c_contiguous
+        assert not np.signbit(array).any() and not array.any()
+        array[23, 7] = 1
+        assert array[23, 7] == 1
+
+
+def test_qtable_too_large_to_map_raises_memory_error():
+    with pytest.raises(MemoryError, match=r"shape \(9000000000000, 1000000000000\)"):
+        QTable.zeros("v2", 10**12)
+
+
 def test_qtable_save_crash_mid_write_keeps_previous_table(tmp_path, monkeypatch):
     path = tmp_path / "q.txt"
     old = QTable.zeros("v1", 4)

@@ -4,8 +4,10 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from array import array
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptsim import harness
-from adaptsim.controllers import StaticController, make_action_space, qtable_load
+from adaptsim.controllers import (
+    QTable,
+    StaticController,
+    make_action_space,
+    qtable_load,
+    state_count,
+)
 from adaptsim.defaults import default_topology
 from adaptsim.harness import (
     CONTROLLER_KINDS,
@@ -152,26 +160,84 @@ def test_rl_campaign_restarts_from_zeros(tmp_path, face_profile, face_topology, 
 
 @pytest.mark.parametrize("kind", ["rl1", "rl2"])
 def test_learner_campaign_holds_one_table_at_a_time(
-    tmp_path, face_profile, face_topology, face_requirement, kind
+    tmp_path, face_profile, face_topology, face_requirement, kind, monkeypatch
 ):
-    # With every configuration an action, an rl2 table is 4 608 x 512 cells of
-    # float64 value and int64 visit count: 37.7 MB.  Keeping run k's table
-    # alive while run k+1 loads its copy peaked at 2.0 (rl2) and 2.2 (rl1)
-    # tables; one live table at a time peaks at 1.1 and 1.3.
+    # With every configuration an action, an rl2 table spans 4 608 x 512 cells
+    # of float64 value and int64 visit count: 37.7 MB of address space.  Its
+    # arrays live on memory maps, which tracemalloc does not see, so count the
+    # live tables: run k's table must be freed before run k+1 loads its copy.
+    live = {"now": 0, "most": 0}
+    real_init = QTable.__init__
+
+    def forget_one():
+        live["now"] -= 1
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        live["now"] += 1
+        live["most"] = max(live["most"], live["now"])
+        weakref.finalize(self, forget_one)
+
+    monkeypatch.setattr(QTable, "__init__", counted_init)
     spec = spec_for(
         tmp_path, kind, face_profile, face_topology, face_requirement,
         trace=make_trace("random", length=300), action_count="all", runs=3,
     )
-    tracemalloc.start()
-    try:
-        run_experiment(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    table = qtable_load(spec.qtable_path)
-    assert table.action_count == 512
-    one_table = table.values.nbytes + table.visit_counts.nbytes
-    assert peak < 1.5 * one_table, peak / one_table
+    run_experiment(spec)
+    assert live == {"now": 0, "most": 1}
+    assert qtable_load(spec.qtable_path).action_count == 512
+
+
+_RL2_GROWTH_SCRIPT = """
+import sys
+from adaptsim.defaults import (
+    DEFAULT_INPUT_SIZES, default_model, default_requirement, default_topology,
+)
+from adaptsim.harness import ExperimentSpec, run_experiment
+from adaptsim.profiling import generate_synthetic_profile
+from adaptsim.simenv import make_trace
+
+topology = default_topology()
+profile = generate_synthetic_profile(default_model(), topology, DEFAULT_INPUT_SIZES)
+
+
+def campaign(kind):
+    run_experiment(ExperimentSpec(
+        topology=topology, requirement=default_requirement(), profile=profile,
+        trace=make_trace("random", length=2000), controller=kind,
+        out_dir=f"{sys.argv[1]}/{kind}", action_count="all", runs=2, base_seed=7,
+    ))
+
+
+def peak_kib():
+    # This process image's resident high-water mark.  ru_maxrss would also
+    # carry the forking test process's, which hides the growth below it.
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+campaign("static-hp")  # the set-up growth every campaign pays: episode, writer, actions
+before = peak_kib()
+campaign("rl2")
+print(peak_kib() - before)
+"""
+
+
+def test_rl2_campaign_memory_grows_with_the_rows_it_writes(tmp_path):
+    # With actions: all a dense rl2 table is 4 608 x 512 x 16 B = 37.7 MB, but
+    # a 2 000-frame campaign writes a few hundred of its rows.  Only written
+    # pages are resident, so the peak grows by far less than half a table
+    # (about 7 MB); a table resident in full grew it by about 40 MB.
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RL2_GROWTH_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    growth = int(done.stdout) * 1024
+    dense = state_count("v2", 512) * 512 * 16
+    assert growth < dense / 2, f"peak grew {growth / 1e6:.1f} MB over the rl2 campaign"
 
 
 def test_persistence_lock_collision(tmp_path, face_profile, face_topology, face_requirement):
