@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from .config import ConfigError, load_config
 from .harness import (
     CONTROLLER_KINDS,
+    METRICS_HEADER,
     CampaignResult,
     emit_report,
     measure_overhead,
+    metrics_row,
     recompute_metrics_from_trace,
     run_experiment,
 )
@@ -173,9 +176,9 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_trace_paths(campaign_dir: Path) -> list[Path]:
-    """``campaign_dir``'s run traces in run order.  A gap in the numbering, or
-    a count other than the run rows of its ``metrics.csv``, raises ValueError."""
+def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
+    """``campaign_dir``'s run traces in run order, each with its ``metrics.csv`` row.
+    A gap in the numbering, or a row count other than theirs, raises ValueError."""
     runs_dir = campaign_dir / "runs"
     found = set(runs_dir.glob("run_*.csv"))
     paths = [runs_dir / f"run_{k:03d}.csv" for k in range(len(found))]
@@ -187,12 +190,12 @@ def _run_trace_paths(campaign_dir: Path) -> list[Path]:
             )
     metrics = campaign_dir / "metrics.csv"
     rows = metrics.read_text(encoding="utf-8").splitlines()[1:]  # after the header
-    listed = sum(1 for row in rows if not row.startswith("mean,"))
-    if listed != len(paths):
+    listed = [row for row in rows if not row.startswith("mean,")]
+    if len(listed) != len(paths):
         raise ValueError(
-            f"{runs_dir} holds {len(paths)} run traces, but {metrics} lists {listed} runs"
+            f"{runs_dir} holds {len(paths)} run traces, but {metrics} lists {len(listed)} runs"
         )
-    return paths
+    return list(zip(paths, listed))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -217,11 +220,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 break
         if not controller:
             continue
-        paths = _run_trace_paths(campaign_dir)
-        metrics = [
-            recompute_metrics_from_trace(path, sorted_configs, cfg.profile, run_index=i)
-            for i, path in enumerate(paths)
-        ]
+        metrics = []
+        for i, (path, listed) in enumerate(_run_trace_paths(campaign_dir)):
+            metrics.append(recompute_metrics_from_trace(path, sorted_configs, cfg.profile, i))
+            row = metrics_row(metrics[-1]).split(",")
+            for column, was, now in zip_longest(METRICS_HEADER.split(","), listed.split(","), row):
+                if was != now:
+                    raise ValueError(
+                        f"{campaign_dir / 'metrics.csv'}: run {i} lists {column} {was}, but "
+                        f"{path.name} gives {now}; report with the campaign's own --config"
+                    )
         if not metrics:
             continue
         results.append(

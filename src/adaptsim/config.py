@@ -338,6 +338,8 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     where = "trace.full_day_schedule"
     schedule_node = _known_node(trace_node.get("full_day_schedule", {}), where)
     schedule = {_integer(h, where): _integer(f, where) for h, f in schedule_node.items()} or None
+    if schedule:  # refused now, whether or not a full_day campaign runs
+        make_trace("full_day", schedule=schedule)
 
     cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
     cpu_params = CpuChainParams(**{k: _number(v, f"cpu.{k}") for k, v in cpu_node.items()})

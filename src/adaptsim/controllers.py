@@ -159,8 +159,8 @@ def _zeros_on_demand(shape: tuple[int, int], dtype) -> np.ndarray:
 class QTable:
     """Dense state x action expected-reward estimates plus visit counts.
 
-    Updates mutate in place; controllers running concurrently must work on
-    separate copies (:meth:`copy`) rather than share one table.
+    Updates mutate in place; controllers running concurrently must not share
+    one table.
     """
 
     def __init__(self, encoder: str, values: np.ndarray, visit_counts: np.ndarray):
@@ -192,17 +192,6 @@ class QTable:
     @property
     def total_visits(self) -> int:
         return int(self.visit_counts.sum())
-
-    def copy(self) -> "QTable":
-        """A bit-equal copy that writes only the row blocks holding a cell."""
-        values = _zeros_on_demand(self.values.shape, self.values.dtype)
-        visits = _zeros_on_demand(self.visit_counts.shape, self.visit_counts.dtype)
-        for start, held in _held_cells(self):
-            if held.any():
-                end = start + len(held)
-                values[start:end] = self.values[start:end]
-                visits[start:end] = self.visit_counts[start:end]
-        return QTable(self.encoder, values, visits)
 
 
 _SCAN_CELLS = 1 << 16
@@ -389,9 +378,9 @@ class StaticController:
         pass
 
 
-def static_fast_index(actions: list[Configuration], profile, input_size: int) -> int:
-    """Index of the lowest-latency action at ``input_size``."""
-    latencies = [profile.lookup(cfg, input_size)[0] for cfg in actions]
+def static_fast_index(actions: list[Configuration], profile) -> int:
+    """Index of the lowest-latency action at the smallest profiled input size."""
+    latencies = [profile.lookup(cfg, profile.input_sizes[0])[0] for cfg in actions]
     return int(np.argmin(latencies))
 
 
@@ -446,22 +435,14 @@ class QLearningController:
 
     def __init__(
         self,
-        encoder: str,
         table: QTable,
         requirement: Requirement,
         params: LearningParams | None = None,
         rng: np.random.Generator | None = None,
         name: str | None = None,
     ):
-        if encoder not in ENCODERS:
-            raise ValueError(f"unknown state encoder {encoder!r}")
-        if table.encoder != encoder:
-            raise QTableMismatchError(
-                f"table was built for encoder {table.encoder!r}, not {encoder!r}"
-            )
-        self.name = name or f"rl-{encoder}"
-        self.encoder = encoder
-        self._encode = _ENCODE[encoder][0]
+        self.name = name or f"rl-{table.encoder}"
+        self._encode = _ENCODE[table.encoder][0]
         self.table = table
         self.requirement = requirement
         self.params = params or LearningParams()
@@ -481,23 +462,26 @@ class QLearningController:
     def reset(self) -> None:
         self._prev = None
 
-    def decide(self, obs: ControllerObservation) -> int:
+    def _learn(self, obs: ControllerObservation) -> int:
+        """``obs``'s state, after folding the pending step's reward into the
+        table; an observation without last metrics folds nothing."""
         state = self._encode(obs, self.table.action_count)
         if self._prev is not None and obs.last_satisfied is not None:
             prev_state, prev_action = self._prev
             r = reward(obs, self.requirement)
             q_update(self.table, prev_state, prev_action, r, state, self.params)
+        return state
+
+    def decide(self, obs: ControllerObservation) -> int:
+        state = self._learn(obs)
         action = select_action(self.table, state, self._epsilon, self._rng)
         self._epsilon = max(self.params.epsilon_min, self._epsilon * self.params.epsilon_decay)
         self._prev = (state, action)
         return action
 
     def finish(self, obs: ControllerObservation) -> None:
-        """Fold the final step's reward into the table at episode end."""
-        if self._prev is None or obs.last_satisfied is None:
-            return
-        state = self._encode(obs, self.table.action_count)
-        prev_state, prev_action = self._prev
-        r = reward(obs, self.requirement)
-        q_update(self.table, prev_state, prev_action, r, state, self.params)
-        self._prev = None
+        """Fold the final step's reward into the table at episode end; an
+        observation without last metrics leaves the pending step in place."""
+        if obs.last_satisfied is not None:
+            self._learn(obs)
+            self._prev = None

@@ -58,6 +58,7 @@ TRACE_FILE_HEADER = "step,cpu,input_size,ordinal,latency,satisfied,reward"
 _TRACE_COLUMNS = tuple(TRACE_FILE_HEADER.split(","))
 METRICS_HEADER = "run,steps,mean_objective,latency_satisfaction_pct,mean_reward"
 TIMINGS_HEADER = "run,decide_median_s,decide_p99_s"
+OVERHEAD_SEED = 7  # measure_overhead's episode
 
 
 class CampaignLockError(RuntimeError):
@@ -187,7 +188,7 @@ class ExperimentSpec:
 
     @property
     def reference_size(self) -> int:
-        """The smallest profiled input size, where ``static-fast`` picks its rung."""
+        """The smallest profiled input size, where the configurations are ranked."""
         return self.profile.input_sizes[0]
 
 
@@ -214,17 +215,12 @@ def build_controller(
     if kind == "static-hp":
         return StaticController(0, name=kind)
     if kind == "static-fast":
-        return StaticController(
-            static_fast_index(actions, spec.profile, spec.reference_size), name=kind
-        )
+        return StaticController(static_fast_index(actions, spec.profile), name=kind)
     if kind == "heuristic":
         return HeuristicController(len(actions), spec.heuristic_params)
-    encoder = RL_ENCODERS[kind]
     if table is None:
-        table = QTable.zeros(encoder, len(actions))
-    return QLearningController(
-        encoder, table, spec.requirement, spec.learning_params, rng=rng, name=kind
-    )
+        table = QTable.zeros(RL_ENCODERS[kind], len(actions))
+    return QLearningController(table, spec.requirement, spec.learning_params, rng=rng, name=kind)
 
 
 def run_episode(
@@ -477,13 +473,14 @@ def _run_once(
     return episode.metrics
 
 
+def metrics_row(m: RunMetrics) -> str:
+    """``m``'s row of ``metrics.csv``, as :data:`METRICS_HEADER` names its cells."""
+    values = (m.mean_objective, m.latency_satisfaction_pct, m.mean_reward)
+    return ",".join([str(m.run_index), str(m.steps), *map(_fmt, values)])
+
+
 def _write_metrics(path: Path, metrics: list[RunMetrics]) -> None:
-    lines = [METRICS_HEADER]
-    for m in metrics:
-        lines.append(
-            f"{m.run_index},{m.steps},{_fmt(m.mean_objective)},"
-            f"{_fmt(m.latency_satisfaction_pct)},{_fmt(m.mean_reward)}"
-        )
+    lines = [METRICS_HEADER, *map(metrics_row, metrics)]
     n = len(metrics)
     lines.append(
         "mean,{steps},{obj},{sat},{rew}".format(
@@ -509,7 +506,6 @@ def measure_overhead(
     warmup: int = 1000,
     reference_frame_s: float = 0.070,
     action_count: int | str = 16,
-    seed: int = 7,
     profile: ProfileTable | None = None,
     topology: ServiceTopology | None = None,
     requirement: Requirement | None = None,
@@ -546,8 +542,8 @@ def measure_overhead(
         action_count=action_count,
     )
     actions, env = _set_up(spec)
-    controller = build_controller(spec, actions, rng=np.random.default_rng(seed + 1))
-    episode = run_episode(env, controller, actions, seed)
+    controller = build_controller(spec, actions, rng=np.random.default_rng(OVERHEAD_SEED + 1))
+    episode = run_episode(env, controller, actions, OVERHEAD_SEED)
     timed = episode.decide_ns[warmup:]
     median, p99 = _decide_quantiles(timed)
     return OverheadReport(

@@ -75,14 +75,6 @@ class ServiceTopology:
         """All parameters in declaration order (operator order, then knob order)."""
         return tuple(p for op in self.operators for p in op.parameters)
 
-    @property
-    def configuration_count(self) -> int:
-        return math.prod(len(p.values) for p in self.parameters)
-
-    def value_labels(self, config: "Configuration") -> tuple[str, ...]:
-        """Human-readable value labels for a configuration's assignments."""
-        return tuple(p.values[i] for p, i in zip(self.parameters, config.assignments))
-
 
 @dataclass(frozen=True)
 class Configuration:

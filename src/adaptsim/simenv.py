@@ -257,7 +257,6 @@ class Environment:
         # (assignments, input size) -> (base latency, objective), per episode
         self._cells: dict[tuple[tuple[int, ...], int], tuple[float, float]] = {}
         self._step = 0
-        self._done = True
 
     @property
     def length(self) -> int:
@@ -271,16 +270,15 @@ class Environment:
         self._sizes = self.trace.materialize(np.random.default_rng(trace_ss))
         self._cells = {}
         self._step = 0
-        self._done = False
         return EnvState(cpu_availability=cpu0, input_size=self._sizes[0])
 
     def step(self, action: Configuration) -> StepOutcome:
         """Process one frame with the given configuration."""
-        if self._done:
-            raise EpisodeFinished("input trace exhausted; call reset()")
-        cpu_used = self._cpu_now
         sizes = self._sizes
         step = self._step
+        if step >= len(sizes):  # also before the first reset(), when there are no sizes
+            raise EpisodeFinished("input trace exhausted; call reset()")
+        cpu_used = self._cpu_now
         input_size = sizes[step]
         key = (action.assignments, input_size)
         cell = self._cells.get(key)
@@ -290,7 +288,7 @@ class Environment:
         latency = base_latency / cpu_used
         step += 1
         self._step = step
-        done = self._done = step >= len(sizes)
+        done = step >= len(sizes)
         cpu_next = self._cpu_now = self.cpu.step()
         params = self.cpu.params
         assert params.min_avail <= cpu_next <= params.max_avail

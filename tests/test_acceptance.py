@@ -161,9 +161,7 @@ def test_criterion_4_toy_convergence():
     wins = 0
     for seed in range(100):
         table = QTable.zeros("v1", 2)
-        ctrl = QLearningController(
-            "v1", table, req, LearningParams(), rng=np.random.default_rng(seed)
-        )
+        ctrl = QLearningController(table, req, LearningParams(), rng=np.random.default_rng(seed))
         ctrl.reset()
         obs = ControllerObservation(cpu_availability=1.0)
         seen = {encode_state_v1(obs, 2)}
@@ -255,9 +253,7 @@ def test_criterion_8_rapid_adaptation(
     )
     actions = make_action_space(face_sorted_configs, 16)
     greedy = LearningParams(epsilon_start=0.0, epsilon_min=0.0)
-    ctrl = QLearningController(
-        "v2", table, face_requirement, greedy, rng=np.random.default_rng(1)
-    )
+    ctrl = QLearningController(table, face_requirement, greedy, rng=np.random.default_rng(1))
     episode = run_episode(env, ctrl, actions, seed=3)
     trace = episode.trace
 

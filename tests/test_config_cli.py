@@ -1,12 +1,19 @@
 import filecmp
 import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from adaptsim.cli import build_parser, main
 from adaptsim.config import ConfigError, load_config
+from adaptsim.controllers import make_action_space
+from adaptsim.defaults import default_model, default_topology
 from adaptsim.harness import measure_overhead
 from adaptsim.profiling import ProfileError
+from adaptsim.service_model import enumerate_configurations, sort_by_objective
+
+NONMONOTONE = Path(__file__).resolve().parent.parent / "configs" / "nonmonotone.yaml"
 
 MINIMAL_TOPOLOGY = """\
 topology:
@@ -51,7 +58,7 @@ base_seed: 3
 
 def test_default_config_without_file():
     cfg = load_config(None)
-    assert cfg.topology.configuration_count == 512
+    assert len(enumerate_configurations(cfg.topology)) == 512
     assert cfg.runs == 50
     assert cfg.controllers == ["static-hp", "static-fast", "heuristic", "rl1", "rl2"]
     assert cfg.trace_kinds == ["variable"]
@@ -65,7 +72,7 @@ def test_config_file_parsing(tmp_path):
     path.write_text(MINIMAL_TOPOLOGY)
     cfg = load_config(path)
     assert cfg.topology.name == "doc_pipeline"
-    assert cfg.topology.configuration_count == 4
+    assert len(enumerate_configurations(cfg.topology)) == 4
     assert cfg.requirement.objective_metric == "accuracy"
     assert cfg.requirement.constraints[0].target == 2.0
     assert cfg.profile.input_sizes == (1, 4, 16)
@@ -77,6 +84,20 @@ def test_config_file_parsing(tmp_path):
     assert all(s.trace.kind == "random" for s in specs)
     assert all(s.trace.length == 120 for s in specs)
 
+
+
+def test_nonmonotone_config_breaks_only_the_ladders_latency_order():
+    model = yaml.safe_load(NONMONOTONE.read_text())["profile"]["model"]
+    assert model["objective_weights"] == default_model().objective_weights
+    for path, monotone in ((None, True), (NONMONOTONE, False)):
+        cfg = load_config(path)
+        assert cfg.topology == default_topology()
+        smallest = cfg.profile.input_sizes[0]
+        ranked = sort_by_objective(enumerate_configurations(cfg.topology), cfg.profile, smallest)
+        # The ladder from its worst-objective rung up, as the heuristic climbs it.
+        ladder = make_action_space(ranked, cfg.action_count)[::-1]
+        latency = [cfg.profile.lookup(c, smallest)[0] for c in ladder]
+        assert all(a <= b for a, b in zip(latency, latency[1:])) is monotone, path
 
 def test_config_errors(tmp_path):
     path = tmp_path / "bad.yaml"
@@ -225,6 +246,34 @@ def test_cli_report_refuses_a_deleted_last_run_trace(tmp_path, capsys):
     assert (out_root / "summary.csv").read_bytes() == summary
 
 
+def test_cli_report_refuses_a_config_other_than_the_campaigns(tmp_path, capsys):
+    # Without --config, report ranks configurations for the default
+    # requirement, which maximizes: the recomputed runs disagree with the
+    # metrics.csv the minimizing campaign wrote.
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(
+        "requirement: {objective_sense: minimize, constraints: [{metric: latency, target: 1.0}]}\n"
+        "runs: 2\n"
+        "trace: {kinds: [random], random_length: 200}\n"
+        "controller: {kinds: [heuristic, rl2]}\n"
+    )
+    out_root = tmp_path / "out"
+    assert main(["run", "--config", str(exp), "--out", str(out_root)]) == 0
+    summary = (out_root / "summary.csv").read_bytes()
+    listed = (out_root / "heuristic_random" / "metrics.csv").read_text().splitlines()[1]
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_root)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{out_root / 'heuristic_random' / 'metrics.csv'}: run 0" in err, err
+    assert f"mean_objective {listed.split(',')[2]}" in err, err
+    assert "--config" in err, err
+    assert (out_root / "summary.csv").read_bytes() == summary
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 0
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
 def test_cli_report_refuses_a_directory_without_campaigns(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
@@ -312,7 +361,7 @@ def test_cli_overhead_times_the_configured_service(tmp_path, capsys, monkeypatch
     assert "rl2" in capsys.readouterr().out
     assert len(seen) == 2
     for kwargs in seen:
-        assert kwargs["topology"].configuration_count == 4
+        assert len(enumerate_configurations(kwargs["topology"])) == 4
         assert kwargs["requirement"].constraints[0].target == 2.0
         assert kwargs["profile"].input_sizes == (1, 4, 16)
         assert kwargs["action_count"] == "all"
@@ -576,6 +625,9 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full_day]\n"
                                   "  full_day_schedule: [1, 2]"),
          "trace.full_day_schedule must be a mapping"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [random]\n"
+                                  "  full_day_schedule: {0: 6}"),
+         "full_day schedule must map every hour 0..23"),
         (MINIMAL_TOPOLOGY.replace('values: ["150", "300"]', "values: 3"),
          "topology.operators[0].parameters[0].values must be a list"),
         (MINIMAL_TOPOLOGY.replace('latency_weights:\n      dpi: {"150": 0.0, "300": 0.4}\n'
@@ -593,7 +645,7 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
                                   "    metric: latency\n"),
          "requirement.constraints must be a list"),
     ],
-    ids=["input-sizes-scalar", "schedule-list", "values-scalar", "latency-weights-list",
+    ids=["input-sizes-scalar", "schedule-list", "schedule-hours-unused-kind", "values-scalar", "latency-weights-list",
          "weight-row-scalar", "controller-kinds-string", "trace-kinds-string",
          "operators-mapping", "constraints-mapping"],
 )

@@ -257,7 +257,7 @@ def _greedy_cases(draw):
 @given(case=_greedy_cases(), seed=st.integers(0, 2**32 - 1))
 def test_greedy_lookups_match_list_reference(case, seed):
     table, prev_state, action, reward_value, next_state, params, epsilon = case
-    expected = table.copy()
+    expected = QTable(table.encoder, table.values.copy(), table.visit_counts.copy())
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert select_action(table, next_state, epsilon, rng) == _reference_select_action(
         expected, next_state, epsilon, reference_rng
@@ -358,42 +358,22 @@ def test_qtable_save_matches_reference_bytes_and_loads_bit_exact(tmp_path, table
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=_tables(), scan_cells=st.integers(1, 40))
-def test_qtable_save_and_copy_scan_in_blocks(tmp_path, monkeypatch, table, scan_cells):
+def test_qtable_save_scans_in_blocks(tmp_path, monkeypatch, table, scan_cells):
     # Blocks of a few cells: rows of the later blocks must be offset by the
     # block's first row, and a block without a held cell is skipped.
     monkeypatch.setattr(controllers, "_SCAN_CELLS", scan_cells)
     path = tmp_path / "q.txt"
     qtable_save(table, path)
     assert path.read_bytes() == _reference_qtable_text(table).encode("utf-8")
-    copied = table.copy()
-    assert np.array_equal(copied.values.view(np.int64), table.values.view(np.int64))
-    assert np.array_equal(copied.visit_counts, table.visit_counts)
-
-
-def test_qtable_copy_is_bit_equal_and_independent():
-    table = QTable.zeros("v2", 512)
-    table.values[7, 3] = -0.0
-    table.values[4000, 511] = 0.25
-    table.visit_counts[4000, 511] = 3
-    table.visit_counts[2, 0] = 1
-    copied = table.copy()
-    assert copied.encoder == "v2"
-    assert np.array_equal(copied.values.view(np.int64), table.values.view(np.int64))
-    assert np.array_equal(copied.visit_counts, table.visit_counts)
-    assert math.copysign(1.0, copied.values[7, 3]) == -1.0
-    copied.values[4000, 511] = 1.0
-    copied.visit_counts[2, 0] = 9
-    assert table.values[4000, 511] == 0.25
-    assert table.visit_counts[2, 0] == 1
 
 
 def _constructed_tables(tmp_path):
     zeros = QTable.zeros("v1", 8)
     qtable_save(zeros, tmp_path / "q.txt")
-    return {"zeros": zeros, "load": qtable_load(tmp_path / "q.txt"), "copy": zeros.copy()}
+    return {"zeros": zeros, "load": qtable_load(tmp_path / "q.txt")}
 
 
-@pytest.mark.parametrize("how", ["zeros", "load", "copy"])
+@pytest.mark.parametrize("how", ["zeros", "load"])
 def test_qtable_arrays_are_zero_writable_and_c_contiguous(tmp_path, how):
     table = _constructed_tables(tmp_path)[how]
     for array, dtype in ((table.values, np.float64), (table.visit_counts, np.int64)):
@@ -555,7 +535,7 @@ def test_static_fast_index_picks_min_latency():
     topo = make_topology("lad", [("op", [("k", [str(i) for i in range(6)])])])
     profile = ladder_profile()
     ranked = sort_by_objective(enumerate_configurations(topo), profile, 6)
-    assert static_fast_index(ranked, profile, 6) == len(ranked) - 1
+    assert static_fast_index(ranked, profile) == len(ranked) - 1
 
 
 def test_static_fast_maximizes_satisfaction_among_static_policies(
@@ -568,7 +548,7 @@ def test_static_fast_maximizes_satisfaction_among_static_policies(
         env = Environment(face_profile, face_requirement, custom_trace([48] * 300))
         episode = run_episode(env, StaticController(idx), actions, seed=99)
         rates.append(episode.metrics.latency_satisfaction_pct)
-    fast = static_fast_index(actions, face_profile, 6)
+    fast = static_fast_index(actions, face_profile)
     assert rates[fast] == max(rates)
 
 
@@ -647,9 +627,7 @@ def test_learning_controller_converges_in_toy_environment():
     wins = 0
     for seed in range(20):
         table = QTable.zeros("v1", 2)
-        ctrl = QLearningController(
-            "v1", table, REQ, LearningParams(), rng=np.random.default_rng(seed)
-        )
+        ctrl = QLearningController(table, REQ, LearningParams(), rng=np.random.default_rng(seed))
         ctrl.reset()
         current = ControllerObservation(cpu_availability=1.0)
         seen = {encode_state_v1(current, 2)}
@@ -665,28 +643,29 @@ def test_learning_controller_converges_in_toy_environment():
 
 def test_learning_controller_resumes_epsilon_from_visits():
     params = LearningParams(epsilon_start=1.0, epsilon_decay=0.995, epsilon_min=0.05)
-    fresh = QLearningController("v1", QTable.zeros("v1", 2), REQ, params)
+    fresh = QLearningController(QTable.zeros("v1", 2), REQ, params)
     assert fresh.epsilon == 1.0
     warm_table = QTable.zeros("v1", 2)
     warm_table.visit_counts[0, 0] = 10_000
-    warm = QLearningController("v1", warm_table, REQ, params)
+    warm = QLearningController(warm_table, REQ, params)
     assert warm.epsilon == 0.05
-
-
-def test_learning_controller_encoder_table_mismatch():
-    with pytest.raises(QTableMismatchError):
-        QLearningController("v2", QTable.zeros("v1", 2), REQ)
 
 
 def test_finish_folds_last_reward():
     table = QTable.zeros("v1", 2)
     ctrl = QLearningController(
-        "v1", table, REQ, LearningParams(epsilon_start=0.0, epsilon_min=0.0),
+        table, REQ, LearningParams(epsilon_start=0.0, epsilon_min=0.0),
         rng=np.random.default_rng(0),
     )
     ctrl.reset()
     first = ControllerObservation(cpu_availability=1.0)
     action = ctrl.decide(first)
     updates_before = table.total_visits
+    # Without last metrics, finish folds nothing and keeps the pending step.
+    ctrl.finish(ControllerObservation(cpu_availability=0.3, last_config_ordinal=action))
+    assert table.total_visits == updates_before
     ctrl.finish(obs(ratio=0.5, last=action, objective=0.7))
+    assert table.total_visits == updates_before + 1
+    assert table.visit_counts[encode_state_v1(first, 2), action] == 1
+    ctrl.finish(obs(ratio=0.5, last=action, objective=0.7))  # nothing is pending now
     assert table.total_visits == updates_before + 1

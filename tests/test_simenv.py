@@ -209,8 +209,10 @@ def test_reset_determinism_bit_for_bit(face_profile, face_requirement, face_sort
 
 def test_episode_end_signal_and_fresh_reset(face_profile, face_requirement, face_sorted_configs):
     env = Environment(face_profile, face_requirement, custom_trace([6, 6]))
-    env.reset(0)
     action = face_sorted_configs[0]
+    with pytest.raises(EpisodeFinished):  # no episode before the first reset()
+        env.step(action)
+    env.reset(0)
     assert env.step(action).done is False
     assert env.step(action).done is True
     with pytest.raises(EpisodeFinished):
