@@ -23,11 +23,11 @@ from .harness import (
     emit_report,
     measure_overhead,
     metrics_row,
+    rank_configurations,
     recompute_metrics_from_trace,
     run_experiment,
 )
 from .profiling import ProfileError, load_profile, save_profile, validate_profile_coverage
-from .service_model import enumerate_configurations, sort_by_objective
 from .simenv import TRACE_KINDS
 
 
@@ -200,11 +200,8 @@ def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    sorted_configs = sort_by_objective(
-        enumerate_configurations(cfg.topology),
-        cfg.profile,
-        cfg.profile.input_sizes[0],  # objectives do not depend on size: any one ranks alike
-        sense=cfg.requirement.objective_sense,
+    sorted_configs = rank_configurations(
+        cfg.topology, cfg.profile, cfg.requirement.objective_sense
     )
     out_root = Path(args.out)
     results: list[CampaignResult] = []

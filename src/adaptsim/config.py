@@ -306,6 +306,8 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         str(c)
         for c in _list_node(controller_node.get("kinds", CONTROLLER_KINDS), "controller.kinds")
     ]
+    if not controllers:
+        raise ConfigError("controller.kinds must name at least one controller")
     for c in controllers:
         if c not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller {c!r}; pick from {CONTROLLER_KINDS}")
@@ -332,6 +334,8 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         str(t).replace("-", "_")
         for t in _list_node(trace_node.get("kinds", ["variable"]), "trace.kinds")
     ]
+    if not trace_kinds:
+        raise ConfigError("trace.kinds must name at least one trace kind")
     for t in trace_kinds:
         if t not in TRACE_KINDS:
             raise ConfigError(f"unknown trace kind {t!r}; pick from {TRACE_KINDS}")

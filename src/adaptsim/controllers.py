@@ -347,15 +347,14 @@ def make_action_space(
     """
     if not sorted_configs:
         raise ValueError("empty configuration list")
-    if count == "all" or int(count) >= len(sorted_configs):
+    if count != "all" and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+        raise ValueError(f"action count must be 'all' or an integer >= 1, got {count!r}")
+    if count == "all" or count >= len(sorted_configs):
         return list(sorted_configs)
-    n = int(count)
-    if n < 1:
-        raise ValueError("action count must be >= 1")
-    if n == 1:
+    if count == 1:
         return [sorted_configs[0]]
     last = len(sorted_configs) - 1
-    picks = sorted({round(i * last / (n - 1)) for i in range(n)})
+    picks = sorted({round(i * last / (count - 1)) for i in range(count)})
     return [sorted_configs[i] for i in picks]
 
 

@@ -192,14 +192,18 @@ class ExperimentSpec:
         return self.profile.input_sizes[0]
 
 
+def rank_configurations(
+    topology: ServiceTopology, profile: ProfileTable, sense: str
+) -> list[Configuration]:
+    """Every configuration of ``topology``, best objective first, with its ordinal."""
+    return sort_by_objective(
+        enumerate_configurations(topology), profile, profile.input_sizes[0], sense=sense
+    )
+
+
 def _set_up(spec: ExperimentSpec) -> tuple[list[Configuration], Environment]:
     """``spec``'s action space (rungs spread over the ranked configurations) and environment."""
-    ranked = sort_by_objective(
-        enumerate_configurations(spec.topology),
-        spec.profile,
-        spec.reference_size,
-        sense=spec.requirement.objective_sense,
-    )
+    ranked = rank_configurations(spec.topology, spec.profile, spec.requirement.objective_sense)
     env = Environment(spec.profile, spec.requirement, spec.trace, CpuChain(spec.cpu_params))
     return make_action_space(ranked, spec.action_count), env
 
@@ -244,6 +248,7 @@ def run_episode(
     cpu_col, size_col, ordinal_col = trace.cpu, trace.input_size, trace.ordinal
     latency_col, satisfied_col = trace.latency, trace.satisfied
     reward_col, objective_col = trace.reward, trace.objective
+    rows = [env.profile.row(config) for config in actions]
     decide = controller.decide
     env_step = env.step
     clock = time.perf_counter_ns
@@ -251,8 +256,7 @@ def run_episode(
         t0 = clock()
         action_index = decide(obs)
         decide_ns[t] = clock() - t0
-        config = actions[action_index]
-        latency, objective, satisfied, observation, _ = env_step(config)
+        latency, objective, satisfied, observation, _ = env_step(rows[action_index])
         # Positional construction in field order: keywords cost more per step.
         obs = ControllerObservation(
             observation.cpu_availability,
@@ -263,7 +267,7 @@ def run_episode(
         )
         cpu_col[t] = cpu_used
         size_col[t] = size_used
-        ordinal_col[t] = config.ordinal
+        ordinal_col[t] = actions[action_index].ordinal
         latency_col[t] = latency
         satisfied_col[t] = satisfied
         reward_col[t] = reward(obs, requirement)

@@ -96,7 +96,6 @@ class ProfileTable:
             )
         lat.flags.writeable = obj.flags.writeable = False
         self._input_sizes = sizes
-        self._col = {s: c for c, s in enumerate(sizes)}
         self._base_latency = lat
         self._objective = obj
 
@@ -108,37 +107,42 @@ class ProfileTable:
         """All profiled assignment vectors, in lexicographic order."""
         return sorted(self._row)
 
-    def _row_of(self, config: ConfigLike) -> int:
+    @property
+    def objectives(self) -> np.ndarray:
+        """Read-only objective value of every row."""
+        return self._objective
+
+    def row(self, config: ConfigLike) -> int:
+        """The row that every by-row array of the table holds ``config`` at."""
         key = _as_key(config)
         try:
             return self._row[key]
         except KeyError:
             raise KeyError(f"unknown configuration {key}") from None
 
-    def lookup(self, config: ConfigLike, input_size: int) -> tuple[float, float]:
-        """(base_latency, objective_value) for a configuration at any input size.
+    def latency_at(self, input_size: int) -> np.ndarray:
+        """Base latency of every row at any input size.
 
         Sizes between profiled knots are linearly interpolated; sizes outside
         the profiled range are clamped to the nearest endpoint.
         """
-        row = self._row_of(config)
-        lat = self._base_latency
-        objective = float(self._objective[row])
-        idx = self._col.get(input_size)
-        if idx is not None:
-            return float(lat[row, idx]), objective
-        sizes = self._input_sizes
-        if input_size <= sizes[0]:
-            return float(lat[row, 0]), objective
-        if input_size >= sizes[-1]:
-            return float(lat[row, -1]), objective
+        lat, sizes = self._base_latency, self._input_sizes
         hi = bisect_left(sizes, input_size)
+        if hi == len(sizes):  # above the last knot
+            return lat[:, -1]
+        if hi == 0 or sizes[hi] == input_size:  # at a knot, or below the first
+            return lat[:, hi]
         lo = hi - 1
         frac = (input_size - sizes[lo]) / (sizes[hi] - sizes[lo])
-        return float(lat[row, lo] + frac * (lat[row, hi] - lat[row, lo])), objective
+        return lat[:, lo] + frac * (lat[:, hi] - lat[:, lo])
+
+    def lookup(self, config: ConfigLike, input_size: int) -> tuple[float, float]:
+        """(base_latency, objective_value) for a configuration at any input size."""
+        row = self.row(config)
+        return float(self.latency_at(input_size)[row]), float(self._objective[row])
 
     def objective(self, config: ConfigLike) -> float:
-        return float(self._objective[self._row_of(config)])
+        return float(self._objective[self.row(config)])
 
 
 @dataclass(frozen=True)

@@ -165,22 +165,14 @@ def sort_by_objective(
 
     Ordinal 0 is the best-objective configuration (highest value for
     maximize, lowest for minimize).  Ties are broken by lexicographic
-    assignment order so the ranking is deterministic.
+    assignment order so the ranking is deterministic.  ``reference_input``
+    is not read: objectives do not depend on the input size.
     """
     if sense not in ("maximize", "minimize"):
         raise ValueError(f"unknown objective sense {sense!r}")
     flip = -1.0 if sense == "maximize" else 1.0
-    keyed = []
-    for cfg in configs:
-        try:
-            _, objective = profile.lookup(cfg, reference_input)
-        except KeyError:
-            raise KeyError(
-                f"profile has no entry for configuration {cfg.assignments}"
-            ) from None
-        keyed.append((flip * objective, cfg))
-    keyed.sort(key=lambda pair: (pair[0], pair[1].assignments))
-    return [replace(cfg, ordinal=rank) for rank, (_, cfg) in enumerate(keyed)]
+    ranked = sorted(configs, key=lambda c: (flip * profile.objective(c), c.assignments))
+    return [replace(cfg, ordinal=rank) for rank, cfg in enumerate(ranked)]
 
 
 def make_topology(

@@ -8,9 +8,9 @@ observation returned by :meth:`Environment.step` already shows the context
 the *next* decision will run under.
 
 The interface mirrors the usual reset/step agent-environment loop:
-``reset(seed)`` starts a reproducible episode, ``step(action)`` processes
-one frame, and stepping past the end of the trace raises
-:class:`EpisodeFinished`.
+``reset(seed)`` starts a reproducible episode, ``step(row)`` processes one
+frame with the configuration at that profile row, and stepping past the end
+of the trace raises :class:`EpisodeFinished`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .defaults import DEFAULT_INPUT_SIZES
 from .profiling import ProfileTable
-from .service_model import Configuration, Requirement
+from .service_model import Requirement
 
 FIXED_TRACE_FACES = 48
 FIXED_TRACE_STEPS = 1000
@@ -254,8 +254,8 @@ class Environment:
         self.cpu = cpu_source if cpu_source is not None else CpuChain()
         self._sizes: tuple[int, ...] = ()
         self._cpu_now = 0.0  # availability the next frame runs under
-        # (assignments, input size) -> (base latency, objective), per episode
-        self._cells: dict[tuple[tuple[int, ...], int], tuple[float, float]] = {}
+        self._objective: list[float] = []  # by row
+        self._latency: dict[int, list[float]] = {}  # input size -> base latency by row
         self._step = 0
 
     @property
@@ -268,24 +268,22 @@ class Environment:
         chain_ss, trace_ss = ss.spawn(2)
         cpu0 = self._cpu_now = self.cpu.reset(np.random.default_rng(chain_ss))
         self._sizes = self.trace.materialize(np.random.default_rng(trace_ss))
-        self._cells = {}
+        self._objective = self.profile.objectives.tolist()
+        self._latency = {s: self.profile.latency_at(s).tolist() for s in set(self._sizes)}
         self._step = 0
         return EnvState(cpu_availability=cpu0, input_size=self._sizes[0])
 
-    def step(self, action: Configuration) -> StepOutcome:
-        """Process one frame with the given configuration."""
+    def step(self, row: int) -> StepOutcome:
+        """Process one frame with the configuration at profile row ``row``."""
         sizes = self._sizes
         step = self._step
         if step >= len(sizes):  # also before the first reset(), when there are no sizes
             raise EpisodeFinished("input trace exhausted; call reset()")
+        if not 0 <= row < len(self._objective):  # a negative row would index from the end
+            raise IndexError(f"row {row} is outside the {len(self._objective)} configurations")
         cpu_used = self._cpu_now
         input_size = sizes[step]
-        key = (action.assignments, input_size)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = self.profile.lookup(action, input_size)
-        base_latency, objective = cell
-        latency = base_latency / cpu_used
+        latency = self._latency[input_size][row] / cpu_used
         step += 1
         self._step = step
         done = step >= len(sizes)
@@ -294,4 +292,6 @@ class Environment:
         assert params.min_avail <= cpu_next <= params.max_avail
         # Positional construction: keywords cost more than the step's arithmetic.
         observation = EnvState(cpu_next, input_size if done else sizes[step])
-        return StepOutcome(latency, objective, latency <= self._target, observation, done)
+        return StepOutcome(
+            latency, self._objective[row], latency <= self._target, observation, done
+        )

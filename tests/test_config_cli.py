@@ -640,6 +640,10 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
          "controller.kinds must be a list"),
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: random"),
          "trace.kinds must be a list"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]", "kinds: []"),
+         "controller.kinds must name at least one controller"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: []"),
+         "trace.kinds must name at least one trace kind"),
         ("topology:\n  operators: {ocr: {}}\n", "topology.operators must be a list"),
         (MINIMAL_TOPOLOGY.replace("    - metric: latency\n      target: 2.0\n",
                                   "    metric: latency\n"),
@@ -647,6 +651,7 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
     ],
     ids=["input-sizes-scalar", "schedule-list", "schedule-hours-unused-kind", "values-scalar", "latency-weights-list",
          "weight-row-scalar", "controller-kinds-string", "trace-kinds-string",
+         "controller-kinds-empty", "trace-kinds-empty",
          "operators-mapping", "constraints-mapping"],
 )
 def test_cli_run_rejects_config_value_of_wrong_shape(tmp_path, capsys, config_text, key):

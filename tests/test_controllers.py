@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -617,6 +618,14 @@ def test_make_action_space_all_and_oversized(face_sorted_configs):
     assert len(make_action_space(face_sorted_configs, "all")) == 512
     assert len(make_action_space(face_sorted_configs[:4], 16)) == 4
     assert [c.ordinal for c in make_action_space(face_sorted_configs, 1)] == [0]
+
+
+@pytest.mark.parametrize("count", [True, False, 0, -3, 2.7, 3.0, "3", "ALL", None])
+def test_make_action_space_refuses_a_count_that_is_not_all_or_a_positive_int(
+    face_sorted_configs, count
+):
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(count))}$"):
+        make_action_space(face_sorted_configs, count)
 
 
 # --- learning controller -------------------------------------------------------

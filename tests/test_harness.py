@@ -506,7 +506,7 @@ def test_episode_columns_hold_less_than_records_did(face_profile, face_requireme
     actions = make_action_space(configs, 16)
     env = Environment(face_profile, face_requirement, make_trace("random", length=frames))
     controller = StaticController(0, name="static-hp")
-    run_episode(env, controller, actions, 1)  # the profile's cell memo fills here
+    run_episode(env, controller, actions, 1)  # the environment's latency lists exist from here
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

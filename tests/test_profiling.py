@@ -352,3 +352,4 @@ def test_random_grid_roundtrips_and_interpolates(tmp_path_factory, grid, queries
             want = reference_lookup(sizes, lats, query)
             lat, got_obj = table.lookup(key, query)
             assert (lat, got_obj) == (want, obj)
+            assert table.latency_at(query)[table.row(key)] == want

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptsim.profiling import ProfileTable
-from adaptsim.service_model import Configuration, ConstraintSpec, Requirement
+from adaptsim.service_model import ConstraintSpec, Requirement
 from adaptsim.simenv import (
     FULL_DAY_SCHEDULE,
     CpuChain,
@@ -13,6 +13,7 @@ from adaptsim.simenv import (
     custom_trace,
     make_trace,
 )
+from test_profiling import reference_lookup
 
 LATENCY_REQ = Requirement("precision", (ConstraintSpec("latency", 1.0),))
 
@@ -175,32 +176,54 @@ def test_unknown_trace_kind():
 
 def test_latency_at_full_cpu_is_base_latency():
     env = constant_cpu_env(base_latency=0.5, cpu=1.0)
-    out = env.step(Configuration((0,)))
+    out = env.step(0)
     assert out.latency == 0.5
     assert out.satisfied is True
 
 
 def test_latency_scales_inversely_and_boundary_satisfies():
     env = constant_cpu_env(base_latency=0.5, cpu=0.5)
-    out = env.step(Configuration((0,)))
+    out = env.step(0)
     assert out.latency == 1.0
     assert out.satisfied is True  # inclusive bound
 
 
 def test_low_cpu_violates():
     env = constant_cpu_env(base_latency=0.6, cpu=0.3)
-    out = env.step(Configuration((0,)))
+    out = env.step(0)
     assert out.latency == pytest.approx(2.0)
     assert out.satisfied is False
 
 
+@pytest.mark.parametrize("row", [-1, 1])
+def test_step_refuses_a_row_outside_the_profile(row):
+    env = constant_cpu_env(base_latency=0.5, cpu=1.0)  # one configuration, at row 0
+    with pytest.raises(IndexError, match=f"row {row} is outside the 1 configurations"):
+        env.step(row)
+    assert env.step(0).latency == 0.5  # the refused frame is still due
+
+
+def test_step_charges_the_interpolated_and_clamped_latency():
+    sizes, latencies = (10, 20, 40), [[0.3, 0.7, 1.1], [0.25, 0.5, 2.0]]
+    profile = ProfileTable([(0,), (1,)], sizes, latencies, [0.4, 0.6])
+    trace = [3, 10, 13, 27, 40, 55]  # below, at, between, between, at and above the knots
+    cpus = [1.0, 0.7, 0.35, 0.9, 0.5, 0.3]
+    for row in (0, 1):
+        env = Environment(profile, LATENCY_REQ, custom_trace(trace), ScriptedCpu(cpus))
+        env.reset(0)
+        for size, cpu in zip(trace, cpus):
+            out = env.step(row)
+            assert out.latency == reference_lookup(sizes, latencies[row], size) / cpu
+            assert out.objective == profile.objectives[row]
+
+
 def test_reset_determinism_bit_for_bit(face_profile, face_requirement, face_sorted_configs):
     env = Environment(face_profile, face_requirement, make_trace("variable"))
-    action = face_sorted_configs[100]
+    row = face_profile.row(face_sorted_configs[100])
 
     def roll(seed):
         env.reset(seed)
-        out = [env.step(action) for _ in range(200)]
+        out = [env.step(row) for _ in range(200)]
         return [(o.latency, o.observation.cpu_availability) for o in out]
 
     assert roll(42) == roll(42)
@@ -209,17 +232,17 @@ def test_reset_determinism_bit_for_bit(face_profile, face_requirement, face_sort
 
 def test_episode_end_signal_and_fresh_reset(face_profile, face_requirement, face_sorted_configs):
     env = Environment(face_profile, face_requirement, custom_trace([6, 6]))
-    action = face_sorted_configs[0]
+    row = face_profile.row(face_sorted_configs[0])
     with pytest.raises(EpisodeFinished):  # no episode before the first reset()
-        env.step(action)
+        env.step(row)
     env.reset(0)
-    assert env.step(action).done is False
-    assert env.step(action).done is True
+    assert env.step(row).done is False
+    assert env.step(row).done is True
     with pytest.raises(EpisodeFinished):
-        env.step(action)
+        env.step(row)
     env.reset(0)
     for _ in range(2):
-        out = env.step(action)
+        out = env.step(row)
     assert out.done is True
 
 
@@ -233,13 +256,13 @@ def test_variable_trace_first_observation(face_profile, face_requirement):
 def test_observation_reflects_post_step_state(face_profile, face_requirement, face_sorted_configs):
     env = Environment(face_profile, face_requirement, make_trace("variable"))
     env.reset(7)
-    out = env.step(face_sorted_configs[511])
+    out = env.step(face_profile.row(face_sorted_configs[511]))
     assert out.observation.cpu_availability == env.cpu.value
     assert out.observation.input_size == 6  # still inside the first block
 
 
 def test_latency_monotone_in_cpu_and_input(face_profile, face_requirement, face_sorted_configs):
-    action = face_sorted_configs[8]
+    row = face_profile.row(face_sorted_configs[8])
     latencies = []
     for cpu in (0.3, 0.5, 0.8, 1.0):
         env = Environment(
@@ -249,7 +272,7 @@ def test_latency_monotone_in_cpu_and_input(face_profile, face_requirement, face_
             cpu_source=ScriptedCpu([cpu, cpu]),
         )
         env.reset(0)
-        latencies.append(env.step(action).latency)
+        latencies.append(env.step(row).latency)
     assert all(a > b for a, b in zip(latencies, latencies[1:]))
 
     by_size = []
@@ -261,7 +284,7 @@ def test_latency_monotone_in_cpu_and_input(face_profile, face_requirement, face_
             cpu_source=ScriptedCpu([1.0, 1.0]),
         )
         env.reset(0)
-        by_size.append(env.step(action).latency)
+        by_size.append(env.step(row).latency)
     assert all(a <= b for a, b in zip(by_size, by_size[1:]))
 
 
