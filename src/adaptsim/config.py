@@ -345,6 +345,14 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     if schedule:  # refused now, whether or not a full_day campaign runs
         make_trace("full_day", schedule=schedule)
 
+    # Refused when the config loads, whatever trace kinds run and whichever verb reads it.
+    random_length = _integer(trace_node.get("random_length", 1000), "trace.random_length")
+    if random_length < 1:
+        raise ConfigError("trace.random_length: trace length must be >= 1, got 0")
+    runs = _integer(raw.get("runs", 50), "runs")
+    if runs < 1:
+        raise ConfigError("runs must be >= 1, got 0")
+
     cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
     cpu_params = CpuChainParams(**{k: _number(v, f"cpu.{k}") for k, v in cpu_node.items()})
 
@@ -362,11 +370,9 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         heuristic_params=heuristic_params,
         learning_params=learning_params,
         action_count=action_count,
-        runs=_integer(raw.get("runs", 50), "runs"),
+        runs=runs,
         base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
         out_dir=out_dir,
-        random_trace_length=_integer(
-            trace_node.get("random_length", 1000), "trace.random_length"
-        ),
+        random_trace_length=random_length,
         full_day_schedule=schedule,
     )

@@ -22,7 +22,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ _TRACE_COLUMNS = tuple(TRACE_FILE_HEADER.split(","))
 METRICS_HEADER = "run,steps,mean_objective,latency_satisfaction_pct,mean_reward"
 TIMINGS_HEADER = "run,decide_median_s,decide_p99_s"
 OVERHEAD_SEED = 7  # measure_overhead's episode
+Frames = Iterable[tuple[int, int, float]]  # a run's (ordinal, satisfied, reward), in step order
 
 
 class CampaignLockError(RuntimeError):
@@ -83,10 +84,11 @@ def _sum(values: Iterable[float]) -> float:
 
 @dataclass
 class EpisodeTrace:
-    """One episode's per-frame values, one typed column each.
+    """One episode's run trace in memory: the file's data columns, one typed array each.
 
-    Frame ``t`` is index ``t`` of every column: its availability and input
-    size, the chosen configuration's ordinal, and what the frame gave.
+    Frame ``t`` is index ``t`` of every column (the file's ``step``): its
+    availability and input size, the chosen configuration's ordinal, and
+    what the frame gave.  The ordinal determines the frame's objective.
     """
 
     cpu: array = field(default_factory=partial(array, "d"))
@@ -95,7 +97,6 @@ class EpisodeTrace:
     latency: array = field(default_factory=partial(array, "d"))
     satisfied: array = field(default_factory=partial(array, "b"))  # 0 or 1
     reward: array = field(default_factory=partial(array, "d"))
-    objective: array = field(default_factory=partial(array, "d"))
 
     @classmethod
     def zeros(cls, n: int) -> EpisodeTrace:
@@ -107,14 +108,12 @@ class EpisodeTrace:
 
 
 @dataclass
-class RunMetrics:
+class RunMetrics:  # one row of metrics.csv
     run_index: int
     steps: int
     mean_objective: float
     latency_satisfaction_pct: float
     mean_reward: float
-    decide_median_s: float
-    decide_p99_s: float
 
 
 @dataclass
@@ -235,6 +234,10 @@ def run_episode(
     run_index: int = 0,
 ) -> EpisodeResult:
     """One full pass over the environment's trace with one controller."""
+    for config in actions:
+        if config.ordinal < 0:  # a frame's objective is found by its ordinal
+            raise ValueError(f"action {config.assignments} has no ordinal; see sort_by_objective")
+    ordinals = [config.ordinal for config in actions]
     requirement = env.requirement
     target = requirement.latency_target
     state = env.reset(seed)
@@ -246,9 +249,9 @@ def run_episode(
     decide_ns = array("q", [0]) * env.length
     # Local names: one attribute lookup per column per episode, not per frame.
     cpu_col, size_col, ordinal_col = trace.cpu, trace.input_size, trace.ordinal
-    latency_col, satisfied_col = trace.latency, trace.satisfied
-    reward_col, objective_col = trace.reward, trace.objective
+    latency_col, satisfied_col, reward_col = trace.latency, trace.satisfied, trace.reward
     rows = [env.profile.row(config) for config in actions]
+    count = len(actions)
     decide = controller.decide
     env_step = env.step
     clock = time.perf_counter_ns
@@ -256,6 +259,8 @@ def run_episode(
         t0 = clock()
         action_index = decide(obs)
         decide_ns[t] = clock() - t0
+        if not 0 <= action_index < count:
+            raise IndexError(f"decide() returned action {action_index} of {count} actions")
         latency, objective, satisfied, observation, _ = env_step(rows[action_index])
         # Positional construction in field order: keywords cost more per step.
         obs = ControllerObservation(
@@ -267,16 +272,17 @@ def run_episode(
         )
         cpu_col[t] = cpu_used
         size_col[t] = size_used
-        ordinal_col[t] = actions[action_index].ordinal
+        ordinal_col[t] = ordinals[action_index]
         latency_col[t] = latency
         satisfied_col[t] = satisfied
         reward_col[t] = reward(obs, requirement)
-        objective_col[t] = objective
         cpu_used, size_used = observation.cpu_availability, observation.input_size
     controller.finish(obs)
+    objective_of = dict(zip(ordinals, env.profile.objectives[rows].tolist()))
+    frames = zip(trace.ordinal, trace.satisfied, trace.reward)
     return EpisodeResult(
         trace=trace,
-        metrics=_metrics(run_index, trace, decide_ns),
+        metrics=_run_metrics(run_index, frames, objective_of),
         decide_ns=decide_ns,
     )
 
@@ -288,17 +294,27 @@ def _decide_quantiles(decide_ns: array) -> tuple[float, float]:
     return float(median), float(p99)
 
 
-def _metrics(run_index: int, trace: EpisodeTrace, decide_ns: array) -> RunMetrics:
-    n = len(trace)
-    median, p99 = _decide_quantiles(decide_ns)
+def _run_metrics(
+    run_index: int, frames: Frames, objective_of: Mapping[int, float] | Sequence[float]
+) -> RunMetrics:
+    """A run's ``metrics.csv`` row from its frames in step order, in memory or from its file.
+
+    ``objective_of[ordinal]`` is a frame's objective; each mean is summed
+    left to right, as :func:`_sum` does, so both sources give the same bytes.
+    """
+    steps = satisfied_total = 0
+    objective_total = reward_total = 0.0
+    for ordinal, satisfied, rew in frames:
+        steps += 1
+        objective_total += objective_of[ordinal]
+        satisfied_total += satisfied
+        reward_total += rew
     return RunMetrics(
         run_index=run_index,
-        steps=n,
-        mean_objective=_sum(trace.objective) / n,
-        latency_satisfaction_pct=100.0 * sum(trace.satisfied) / n,
-        mean_reward=_sum(trace.reward) / n,
-        decide_median_s=median,
-        decide_p99_s=p99,
+        steps=steps,
+        mean_objective=objective_total / steps,
+        latency_satisfaction_pct=100.0 * satisfied_total / steps,
+        mean_reward=reward_total / steps,
     )
 
 
@@ -436,19 +452,17 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
     runs_dir.mkdir(parents=True, exist_ok=True)
     encoder = RL_ENCODERS.get(spec.controller)
     with _persistence_lock(spec.qtable_path) if encoder else nullcontext():
-        metrics = [
-            _run_once(spec, actions, env, k, runs_dir, encoder) for k in range(spec.runs)
-        ]
-
-    _write_metrics(spec.out_dir / "metrics.csv", metrics)
-    _write_timings(spec.out_dir / "timings.csv", metrics)
-    return CampaignResult(
+        runs = [_run_once(spec, actions, env, k, runs_dir, encoder) for k in range(spec.runs)]
+    result = CampaignResult(
         controller=spec.controller,
         trace_kind=spec.trace.kind,
         objective_metric=spec.requirement.objective_metric,
-        metrics=metrics,
+        metrics=[metrics for metrics, _ in runs],
         out_dir=spec.out_dir,
     )
+    _write_metrics(result)
+    _write_timings(spec.out_dir / "timings.csv", [quantiles for _, quantiles in runs])
+    return result
 
 
 def _run_once(
@@ -458,10 +472,11 @@ def _run_once(
     k: int,
     runs_dir: Path,
     encoder: str | None,
-) -> RunMetrics:
+) -> tuple[RunMetrics, tuple[float, float]]:
     """Run ``k`` of ``spec``: write its trace and, for a learner, save its table.
 
-    The controller, its table and the episode live only inside this call, so
+    Returns the run's metrics and its decide() (median, p99) in seconds.  The
+    controller, its table and the episode live only inside this call, so
     run k's table is freed before run k+1 loads its copy: a campaign never
     holds two tables at once.
     """
@@ -474,7 +489,7 @@ def _run_once(
     write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.trace)
     if encoder:
         qtable_save(controller.table, spec.qtable_path)
-    return episode.metrics
+    return episode.metrics, _decide_quantiles(episode.decide_ns)
 
 
 def metrics_row(m: RunMetrics) -> str:
@@ -483,25 +498,18 @@ def metrics_row(m: RunMetrics) -> str:
     return ",".join([str(m.run_index), str(m.steps), *map(_fmt, values)])
 
 
-def _write_metrics(path: Path, metrics: list[RunMetrics]) -> None:
-    lines = [METRICS_HEADER, *map(metrics_row, metrics)]
-    n = len(metrics)
-    lines.append(
-        "mean,{steps},{obj},{sat},{rew}".format(
-            steps=sum(m.steps for m in metrics) // n,
-            obj=_fmt(_sum(m.mean_objective for m in metrics) / n),
-            sat=_fmt(_sum(m.latency_satisfaction_pct for m in metrics) / n),
-            rew=_fmt(_sum(m.mean_reward for m in metrics) / n),
-        )
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_metrics(result: CampaignResult) -> None:
+    """``result``'s ``metrics.csv``: a row per run, then the means over runs."""
+    metrics = result.metrics
+    means = [result.mean_over_runs(attr) for attr in METRICS_HEADER.split(",")[2:]]
+    mean_row = ["mean", str(sum(m.steps for m in metrics) // len(metrics)), *map(_fmt, means)]
+    lines = [METRICS_HEADER, *map(metrics_row, metrics), ",".join(mean_row)]
+    (result.out_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_timings(path: Path, metrics: list[RunMetrics]) -> None:
-    lines = [TIMINGS_HEADER]
-    for m in metrics:
-        lines.append(f"{m.run_index},{_fmt(m.decide_median_s)},{_fmt(m.decide_p99_s)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_timings(path: Path, quantiles: list[tuple[float, float]]) -> None:
+    rows = (f"{k},{_fmt(median)},{_fmt(p99)}" for k, (median, p99) in enumerate(quantiles))
+    path.write_text("\n".join([TIMINGS_HEADER, *rows]) + "\n", encoding="utf-8")
 
 
 def measure_overhead(
@@ -636,44 +644,34 @@ def _trace_row(line: str, step: int, configs: int) -> tuple[int, int, float]:
     return ordinal, satisfied, rew
 
 
-def recompute_metrics_from_trace(
-    path: str | Path,
-    sorted_configs: Sequence[Configuration],
-    profile: ProfileTable,
-    run_index: int = 0,
-) -> RunMetrics:
-    """Rebuild a run's metrics from its per-step trace file.
-
-    Used by the report verb and as a cross-check that summary metrics match
-    what the traces imply.  Timing fields are not recoverable from traces
-    and come back as zero.  The file is read one row at a time; a malformed
-    row raises ValueError starting with ``<path>:<line>:``.
-    """
-    n = 0
-    sum_obj = 0.0
-    sum_sat = 0
-    sum_reward = 0.0
+def _trace_frames(path: str | Path, configs: int) -> Frames:
+    """A run-trace file's frames, a row at a time; a bad row's error starts ``<path>:<line>:``."""
+    steps = 0
     # A byte that is not UTF-8 reads as U+FFFD, which no cell parses.
     with open(path, encoding="utf-8", errors="replace") as f:
         if f.readline().rstrip("\n") != TRACE_FILE_HEADER:
             raise ValueError(f"{path}: not a run trace file")
         for lineno, line in enumerate(f, start=2):
             try:
-                ordinal, satisfied, rew = _trace_row(line, n, len(sorted_configs))
+                frame = _trace_row(line, steps, configs)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            sum_obj += profile.objective(sorted_configs[ordinal].assignments)
-            sum_sat += satisfied
-            sum_reward += rew
-            n += 1
-    if n == 0:
+            steps += 1
+            yield frame
+    if steps == 0:
         raise ValueError(f"{path}: trace has no steps")
-    return RunMetrics(
-        run_index=run_index,
-        steps=n,
-        mean_objective=sum_obj / n,
-        latency_satisfaction_pct=100.0 * sum_sat / n,
-        mean_reward=sum_reward / n,
-        decide_median_s=0.0,
-        decide_p99_s=0.0,
-    )
+
+
+def recompute_metrics_from_trace(
+    path: str | Path,
+    sorted_configs: Sequence[Configuration],
+    profile: ProfileTable,
+    run_index: int = 0,
+) -> RunMetrics:
+    """Rebuild a run's ``metrics.csv`` row from its trace file, streamed, never held whole.
+
+    Used by the report verb and as a cross-check that summary metrics match
+    what the traces imply.
+    """
+    objective_of = [profile.objective(config) for config in sorted_configs]
+    return _run_metrics(run_index, _trace_frames(path, len(sorted_configs)), objective_of)

@@ -334,6 +334,18 @@ def test_cli_overhead(capsys):
     assert "impact" in out
 
 
+@pytest.mark.parametrize("verb", ["overhead", "report"])
+def test_cli_verbs_refuse_a_config_of_zero_runs(tmp_path, capsys, verb):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY.replace("runs: 2", "runs: 0"))
+    extra = ["--steps", "50"] if verb == "overhead" else ["--out", str(tmp_path)]
+    status = main([verb, "--config", str(exp), *extra])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err == "error: runs must be >= 1, got 0\n"
+    assert captured.out == ""
+
+
 def test_cli_overhead_rejects_missing_config(tmp_path, capsys):
     missing = tmp_path / "nonexistent.yaml"
     status = main(["overhead", "--config", str(missing), "--steps", "50",
@@ -644,6 +656,10 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
          "controller.kinds must name at least one controller"),
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: []"),
          "trace.kinds must name at least one trace kind"),
+        (MINIMAL_TOPOLOGY.replace("runs: 2", "runs: 0"), "runs must be >= 1"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [variable]")
+         .replace("random_length: 120", "random_length: 0"),
+         "trace.random_length: trace length must be >= 1"),
         ("topology:\n  operators: {ocr: {}}\n", "topology.operators must be a list"),
         (MINIMAL_TOPOLOGY.replace("    - metric: latency\n      target: 2.0\n",
                                   "    metric: latency\n"),
@@ -651,7 +667,8 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
     ],
     ids=["input-sizes-scalar", "schedule-list", "schedule-hours-unused-kind", "values-scalar", "latency-weights-list",
          "weight-row-scalar", "controller-kinds-string", "trace-kinds-string",
-         "controller-kinds-empty", "trace-kinds-empty",
+         "controller-kinds-empty", "trace-kinds-empty", "runs-zero",
+         "random-length-zero-unused-kind",
          "operators-mapping", "constraints-mapping"],
 )
 def test_cli_run_rejects_config_value_of_wrong_shape(tmp_path, capsys, config_text, key):

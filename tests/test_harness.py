@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from array import array
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +452,6 @@ def trace_of(cells):
         latency=array("d", [c[1] for c in cells]),
         satisfied=array("b", [i % 2 for i in range(n)]),
         reward=array("d", [c[2] for c in cells]),
-        objective=array("d", [0.5] * n),
     )
 
 
@@ -497,8 +496,8 @@ def test_write_run_trace_matches_reference_at_any_length(tmp_path, frames):
 def test_episode_columns_hold_less_than_records_did(face_profile, face_requirement, tmp_path):
     # One 20 000-frame static episode.  Measured on 20 000 frames: the
     # per-frame records held 239 B/frame and building the whole trace file in
-    # memory peaked at 5.8 MB; columns hold 68 B/frame and the streamed
-    # writer peaks at 1.0 MB.
+    # memory peaked at 5.8 MB; columns hold 49 B/frame (the whole episode
+    # about 63) and the streamed writer peaks at 1.0 MB.
     frames = 20_000
     configs = sort_by_objective(
         enumerate_configurations(default_topology()), face_profile, face_profile.input_sizes[0]
@@ -560,7 +559,6 @@ def test_write_run_trace_memory_does_not_grow_with_the_trace(tmp_path):
         latency=column("d", floats[1]),
         satisfied=column("b", rng.integers(0, 2, frames, dtype=np.int8)),
         reward=column("d", floats[2]),
-        objective=column("d", np.zeros(frames)),
     )
     path = tmp_path / "run.csv"
     tracemalloc.start()
@@ -582,17 +580,87 @@ def test_every_metric_sums_left_to_right(tmp_path, face_sorted_configs, face_pro
     column = [1.0, 1e100, 1.0, -1e100]
     assert harness._sum(column) == 0.0
     runs = [
-        harness.RunMetrics(k, 1, x, x, x, 0.0, 0.0) for k, x in enumerate(column)
+        harness.RunMetrics(k, 1, x, x, x) for k, x in enumerate(column)
     ]
     result = harness.CampaignResult("rl2", "custom", "precision", runs, tmp_path)
     assert result.mean_over_runs("mean_reward") == 0.0
-    harness._write_metrics(tmp_path / "metrics.csv", runs)
+    harness._write_metrics(result)
     mean_row = (tmp_path / "metrics.csv").read_text().splitlines()[-1]
     assert mean_row == "mean,1,0.0,0.0,0.0"
     trace = trace_of([(1.0, 0.5, x) for x in column])
-    trace.objective = array("d", column)
-    metrics = harness._metrics(0, trace, array("q", [1, 2, 3, 4]))
+    frames = zip(trace.ordinal, trace.satisfied, trace.reward)
+    metrics = harness._run_metrics(0, frames, column)  # ordinal i has objective column[i]
     assert (metrics.mean_objective, metrics.mean_reward) == (0.0, 0.0)
     write_run_trace(tmp_path / "run.csv", trace)
     redone = recompute_metrics_from_trace(tmp_path / "run.csv", face_sorted_configs, face_profile)
     assert redone.mean_reward == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(CONTROLLER_KINDS),
+    sense=st.sampled_from(["maximize", "minimize"]),  # minimizing gives -0.0 rewards
+    frames=st.integers(1, 300),
+    action_count=st.sampled_from([1, 2, 16, "all"]),
+    seed=st.integers(0, 2**16),
+)
+def test_trace_file_gives_back_the_episode_metrics(
+    tmp_path_factory, face_profile, face_topology, face_requirement,
+    kind, sense, frames, action_count, seed,
+):
+    spec = ExperimentSpec(
+        topology=face_topology,
+        requirement=replace(face_requirement, objective_sense=sense),
+        profile=face_profile,
+        trace=make_trace("random", length=frames),
+        controller=kind,
+        out_dir=tmp_path_factory.mktemp("property"),
+        action_count=action_count,
+    )
+    actions, env = harness._set_up(spec)
+    controller = harness.build_controller(spec, actions, rng=np.random.default_rng(seed))
+    episode = run_episode(env, controller, actions, seed, run_index=3)
+    path = spec.out_dir / "run.csv"
+    write_run_trace(path, episode.trace)
+    ranked = harness.rank_configurations(face_topology, face_profile, sense)
+    redone = recompute_metrics_from_trace(path, ranked, face_profile, 3)
+    assert redone == episode.metrics
+    assert harness.metrics_row(redone) == harness.metrics_row(episode.metrics)
+
+
+def test_run_episode_refuses_an_unranked_action_space(face_profile, face_requirement):
+    unranked = enumerate_configurations(default_topology())[:4]  # ordinal -1 each
+    env = Environment(face_profile, face_requirement, make_trace("random", length=5))
+    with pytest.raises(ValueError, match=re.escape(f"{unranked[0].assignments} has no ordinal")):
+        run_episode(env, StaticController(0), unranked, 1)
+
+
+class _Returns:
+    """A controller whose decide() gives ``choices`` in turn."""
+
+    def __init__(self, *choices):
+        self.choices = choices
+
+    def reset(self):
+        self.frame = 0
+
+    def decide(self, obs):
+        self.frame += 1
+        return self.choices[min(self.frame, len(self.choices)) - 1]
+
+    def finish(self, obs):
+        pass
+
+
+@pytest.mark.parametrize("bad", [-1, 16], ids=["negative", "past-the-end"])
+def test_run_episode_refuses_an_action_outside_the_space(
+    face_profile, face_requirement, face_sorted_configs, bad
+):
+    actions = make_action_space(face_sorted_configs, 16)
+    env = Environment(face_profile, face_requirement, make_trace("random", length=10))
+    charged = []
+    step = env.step
+    env.step = lambda row: charged.append(row) or step(row)
+    with pytest.raises(IndexError, match=f"^decide\\(\\) returned action {bad} of 16 actions$"):
+        run_episode(env, _Returns(0, 3, bad), actions, 1)
+    assert len(charged) == 2  # the bad frame was refused before it was charged
