@@ -15,7 +15,7 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, refuse_repeats
 from .harness import (
     CONTROLLER_KINDS,
     METRICS_HEADER,
@@ -123,6 +123,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    refuse_repeats(args.controller or [], "--controller")
+    refuse_repeats(args.trace or [], "--trace")
     specs = cfg.campaign_specs(
         controllers=args.controller,
         trace_kinds=args.trace,
@@ -178,9 +180,17 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
     """``campaign_dir``'s run traces in run order, each with its ``metrics.csv`` row.
-    A gap in the numbering, or a row count other than theirs, raises ValueError."""
+    A file the writer could not have named, a gap in the numbering, or a row
+    count other than theirs raises ValueError."""
     runs_dir = campaign_dir / "runs"
     found = set(runs_dir.glob("run_*.csv"))
+    for path in sorted(found):
+        k = path.stem[len("run_"):]
+        if not (k.isdigit() and path.name == f"run_{int(k):03d}.csv"):
+            raise ValueError(
+                f"{path} is not a run trace: a campaign's run traces are named "
+                "run_000.csv, run_001.csv and so on"
+            )
     paths = [runs_dir / f"run_{k:03d}.csv" for k in range(len(found))]
     for path in paths:
         if path not in found:

@@ -248,6 +248,21 @@ def _number(value: Any, key: str) -> float:
     return float(value)
 
 
+def _path(value: Any, key: str, base_dir: Path) -> Path:
+    """``value`` as a path, a relative one under ``base_dir``; only a string is a path."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {type(value).__name__}")
+    path = Path(value)
+    return path if path.is_absolute() else base_dir / path
+
+
+def refuse_repeats(kinds: Sequence[str], where: str) -> None:
+    """Refuse a kind named twice: its campaign would run twice into one directory."""
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ConfigError(f"{where} names {kind!r} more than once")
+
+
 def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> ExperimentConfig:
     base_dir = base_dir or Path.cwd()
     raw = _known_node(
@@ -288,9 +303,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         _known_node(profile_node, "profile with source 'file'", ("source", "path"))
         if "path" not in profile_node:
             raise ConfigError("profile.source is 'file' but profile.path is missing")
-        profile_path = Path(profile_node["path"])
-        if not profile_path.is_absolute():
-            profile_path = base_dir / profile_path
+        profile_path = _path(profile_node["path"], "profile.path", base_dir)
         profile = load_profile(profile_path)
         try:
             validate_profile_coverage(profile, topology)
@@ -311,6 +324,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     for c in controllers:
         if c not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller {c!r}; pick from {CONTROLLER_KINDS}")
+    refuse_repeats(controllers, "controller.kinds")
     heuristic_node = _params_node(
         controller_node.get("heuristic", {}), HeuristicParams, "controller.heuristic"
     )
@@ -339,6 +353,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     for t in trace_kinds:
         if t not in TRACE_KINDS:
             raise ConfigError(f"unknown trace kind {t!r}; pick from {TRACE_KINDS}")
+    refuse_repeats(trace_kinds, "trace.kinds")
     where = "trace.full_day_schedule"
     schedule_node = _known_node(trace_node.get("full_day_schedule", {}), where)
     schedule = {_integer(h, where): _integer(f, where) for h, f in schedule_node.items()} or None
@@ -356,10 +371,6 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
     cpu_params = CpuChainParams(**{k: _number(v, f"cpu.{k}") for k, v in cpu_node.items()})
 
-    out_dir = Path(raw.get("out_dir", "results"))
-    if not out_dir.is_absolute():
-        out_dir = base_dir / out_dir
-
     return ExperimentConfig(
         topology=topology,
         requirement=requirement,
@@ -372,7 +383,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         action_count=action_count,
         runs=runs,
         base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
-        out_dir=out_dir,
+        out_dir=_path(raw.get("out_dir", "results"), "out_dir", base_dir),
         random_trace_length=random_length,
         full_day_schedule=schedule,
     )

@@ -99,9 +99,10 @@ class EpisodeTrace:
     reward: array = field(default_factory=partial(array, "d"))
 
     @classmethod
-    def zeros(cls, n: int) -> EpisodeTrace:
-        """``n`` frames of zeros, each column allocated once at its length."""
-        return cls(*(array(f.default_factory().typecode, [0]) * n for f in fields(cls)))
+    def over(cls, cpu: array, input_size: array) -> EpisodeTrace:
+        """The frames of context ``cpu`` and ``input_size`` (held, not copied), the rest zeros."""
+        zeros = (array(f.default_factory().typecode, [0]) * len(cpu) for f in fields(cls)[2:])
+        return cls(cpu, input_size, *zeros)
 
     def __len__(self) -> int:
         return len(self.cpu)
@@ -243,13 +244,12 @@ def run_episode(
     state = env.reset(seed)
     controller.reset()
     obs = ControllerObservation(cpu_availability=state.cpu_availability)
-    cpu_used, size_used = state.cpu_availability, state.input_size
-    # Every column is allocated once at the episode's length; frame t is written at index t.
-    trace = EpisodeTrace.zeros(env.length)
+    # The context columns are env's; the others are allocated once and frame t fills index t.
+    trace = EpisodeTrace.over(*env.context)
     decide_ns = array("q", [0]) * env.length
     # Local names: one attribute lookup per column per episode, not per frame.
-    cpu_col, size_col, ordinal_col = trace.cpu, trace.input_size, trace.ordinal
-    latency_col, satisfied_col, reward_col = trace.latency, trace.satisfied, trace.reward
+    ordinal_col, latency_col = trace.ordinal, trace.latency
+    satisfied_col, reward_col = trace.satisfied, trace.reward
     rows = [env.profile.row(config) for config in actions]
     count = len(actions)
     decide = controller.decide
@@ -270,13 +270,10 @@ def run_episode(
             satisfied,
             objective,
         )
-        cpu_col[t] = cpu_used
-        size_col[t] = size_used
         ordinal_col[t] = ordinals[action_index]
         latency_col[t] = latency
         satisfied_col[t] = satisfied
         reward_col[t] = reward(obs, requirement)
-        cpu_used, size_used = observation.cpu_availability, observation.input_size
     controller.finish(obs)
     objective_of = dict(zip(ordinals, env.profile.objectives[rows].tolist()))
     frames = zip(trace.ordinal, trace.satisfied, trace.reward)
@@ -289,8 +286,8 @@ def run_episode(
 
 def _decide_quantiles(decide_ns: array) -> tuple[float, float]:
     """(median, p99) of decide() wall times given in ns, in seconds: one partition."""
-    times = np.frombuffer(decide_ns, dtype=np.int64) / 1e9
-    median, p99 = np.percentile(times, [50, 99])
+    # Over the ns themselves: a seconds copy would be one more temporary of the episode's length.
+    median, p99 = np.percentile(np.frombuffer(decide_ns, dtype=np.int64), [50, 99]) / 1e9
     return float(median), float(p99)
 
 

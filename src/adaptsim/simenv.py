@@ -1,11 +1,11 @@
 """Discrete-time execution environment: CPU availability chain plus input trace.
 
 One step corresponds to fully processing one input frame.  Effective frame
-latency is the profiled base latency divided by the current CPU
-availability (fair-share model of a compute-bound task).  After a step is
-evaluated, the availability chain and the input trace advance, so the
-observation returned by :meth:`Environment.step` already shows the context
-the *next* decision will run under.
+latency is the profiled base latency divided by the frame's CPU
+availability (fair-share model of a compute-bound task).  The chain ignores
+the actions, so ``reset`` draws each frame's availability and input size up
+front; the observation returned by :meth:`Environment.step` already shows
+the context the *next* decision will run under.
 
 The interface mirrors the usual reset/step agent-environment loop:
 ``reset(seed)`` starts a reproducible episode, ``step(row)`` processes one
@@ -16,6 +16,7 @@ of the trace raises :class:`EpisodeFinished`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -92,10 +93,6 @@ class CpuChain:
         self.change_events = 0
         return self._value
 
-    @property
-    def value(self) -> float:
-        return self._value
-
     def step(self) -> float:
         """Advance by one step and return the new availability.
 
@@ -137,13 +134,9 @@ class ScriptedCpu:
         self._idx = 0
         return self._values[0]
 
-    @property
-    def value(self) -> float:
-        return self._values[min(self._idx, len(self._values) - 1)]
-
     def step(self) -> float:
         self._idx += 1
-        return self.value
+        return self._values[min(self._idx, len(self._values) - 1)]
 
 
 @dataclass(frozen=True)
@@ -252,8 +245,8 @@ class Environment:
         self._target = requirement.latency_target
         self.trace = trace
         self.cpu = cpu_source if cpu_source is not None else CpuChain()
-        self._sizes: tuple[int, ...] = ()
-        self._cpu_now = 0.0  # availability the next frame runs under
+        self._context = (array("d"), array("q"))  # frame t's availability and input size
+        self._cpu_after = 0.0  # availability after the last frame
         self._objective: list[float] = []  # by row
         self._latency: dict[int, list[float]] = {}  # input size -> base latency by row
         self._step = 0
@@ -262,36 +255,41 @@ class Environment:
     def length(self) -> int:
         return self.trace.length
 
+    @property
+    def context(self) -> tuple[array, array]:
+        """The current episode's ``(cpu, input_size)``, one value per frame; empty before reset."""
+        return self._context
+
     def reset(self, seed: int | np.random.SeedSequence | None = None) -> EnvState:
-        """Start a new episode; identical seeds replay identical episodes."""
+        """Start a new episode and draw its context; identical seeds replay identical episodes."""
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         chain_ss, trace_ss = ss.spawn(2)
-        cpu0 = self._cpu_now = self.cpu.reset(np.random.default_rng(chain_ss))
-        self._sizes = self.trace.materialize(np.random.default_rng(trace_ss))
+        sizes = array("q", self.trace.materialize(np.random.default_rng(trace_ss)))
+        cpu = array("d", [self.cpu.reset(np.random.default_rng(chain_ss))]) * len(sizes)
+        for t in range(1, len(sizes)):  # new arrays: an earlier episode's stay as they were
+            cpu[t] = self.cpu.step()
+        self._cpu_after = self.cpu.step()
+        self._context = cpu, sizes
         self._objective = self.profile.objectives.tolist()
-        self._latency = {s: self.profile.latency_at(s).tolist() for s in set(self._sizes)}
+        self._latency = {s: self.profile.latency_at(s).tolist() for s in set(sizes)}
         self._step = 0
-        return EnvState(cpu_availability=cpu0, input_size=self._sizes[0])
+        return EnvState(cpu_availability=cpu[0], input_size=sizes[0])
 
     def step(self, row: int) -> StepOutcome:
         """Process one frame with the configuration at profile row ``row``."""
-        sizes = self._sizes
-        step = self._step
-        if step >= len(sizes):  # also before the first reset(), when there are no sizes
+        cpu, sizes = self._context
+        t = self._step
+        if t >= len(sizes):  # also before the first reset(), when there are no sizes
             raise EpisodeFinished("input trace exhausted; call reset()")
         if not 0 <= row < len(self._objective):  # a negative row would index from the end
             raise IndexError(f"row {row} is outside the {len(self._objective)} configurations")
-        cpu_used = self._cpu_now
-        input_size = sizes[step]
-        latency = self._latency[input_size][row] / cpu_used
-        step += 1
-        self._step = step
-        done = step >= len(sizes)
-        cpu_next = self._cpu_now = self.cpu.step()
-        params = self.cpu.params
-        assert params.min_avail <= cpu_next <= params.max_avail
+        input_size = sizes[t]
+        latency = self._latency[input_size][row] / cpu[t]
+        t += 1
+        self._step = t
+        done = t >= len(sizes)
         # Positional construction: keywords cost more than the step's arithmetic.
-        observation = EnvState(cpu_next, input_size if done else sizes[step])
+        observation = EnvState(self._cpu_after, input_size) if done else EnvState(cpu[t], sizes[t])
         return StepOutcome(
             latency, self._objective[row], latency <= self._target, observation, done
         )

@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from adaptsim.cli import build_parser, main
+from adaptsim.cli import _run_trace_paths, build_parser, main
 from adaptsim.config import ConfigError, load_config
 from adaptsim.controllers import make_action_space
 from adaptsim.defaults import default_model, default_topology
-from adaptsim.harness import measure_overhead
+from adaptsim.harness import METRICS_HEADER, measure_overhead
 from adaptsim.profiling import ProfileError
 from adaptsim.service_model import enumerate_configurations, sort_by_objective
 
@@ -223,6 +223,37 @@ def test_cli_report_refuses_a_missing_run_trace(tmp_path, capsys, gone):
     )
     assert out == ""
     assert (out_root / "summary.csv").read_bytes() == summary
+
+
+@pytest.mark.parametrize("stray", ["run_old.csv", "run_0001.csv", "run_1.csv"])
+def test_cli_report_names_a_stray_run_file(tmp_path, capsys, stray):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root)]) == 0
+    path = out_root / "heuristic_random" / "runs" / stray
+    path.write_text("")
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: {path} is not a run trace: a campaign's run traces are named "
+        "run_000.csv, run_001.csv and so on\n"
+    )
+    assert out == ""
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
+def test_run_trace_names_go_on_past_run_999(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for k in range(1001):
+        (runs / f"run_{k:03d}.csv").touch()
+    (tmp_path / "metrics.csv").write_text(METRICS_HEADER + "\n" + "row\n" * 1001)
+    paths = [path for path, _ in _run_trace_paths(tmp_path)]
+    assert paths[999:] == [runs / "run_999.csv", runs / "run_1000.csv"]
+    assert len(paths) == 1001
 
 
 def test_cli_report_refuses_a_deleted_last_run_trace(tmp_path, capsys):
@@ -624,6 +655,17 @@ def _assert_refused_before_any_campaign(tmp_path, capsys, status, *named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--controller", "heuristic", "--controller", "heuristic"], "--controller names 'heuristic'"),
+     (["--trace", "full-day", "--trace", "full_day"], "--trace names 'full_day'")],
+    ids=["controller", "trace"],
+)
+def test_cli_run_refuses_a_repeated_kind_flag(tmp_path, capsys, flags, named):
+    status = _run_config(tmp_path, MINIMAL_TOPOLOGY, *flags)
+    _assert_refused_before_any_campaign(tmp_path, capsys, status, f"{named} more than once")
+
+
 def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
     status = _run_config(tmp_path, MINIMAL_TOPOLOGY.replace("actions: all", "actions: 0"))
     _assert_refused_before_any_campaign(tmp_path, capsys, status, "controller.actions")
@@ -664,12 +706,25 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
         (MINIMAL_TOPOLOGY.replace("    - metric: latency\n      target: 2.0\n",
                                   "    metric: latency\n"),
          "requirement.constraints must be a list"),
+        (MINIMAL_TOPOLOGY + "out_dir: 5\n", "out_dir must be a string, got int"),
+        (MINIMAL_TOPOLOGY + "out_dir: null\n", "out_dir must be a string, got NoneType"),
+        (MINIMAL_TOPOLOGY + "out_dir: [a, b]\n", "out_dir must be a string, got list"),
+        (MINIMAL_TOPOLOGY + "out_dir: {a: 1}\n", "out_dir must be a string, got dict"),
+        (MINIMAL_TOPOLOGY.split("profile:")[0] + "profile: {source: file, path: 5}\n",
+         "profile.path must be a string, got int"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]",
+                                  "kinds: [heuristic, static-hp, heuristic]"),
+         "controller.kinds names 'heuristic' more than once"),
+        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full-day, random, full_day]"),
+         "trace.kinds names 'full_day' more than once"),
     ],
     ids=["input-sizes-scalar", "schedule-list", "schedule-hours-unused-kind", "values-scalar", "latency-weights-list",
          "weight-row-scalar", "controller-kinds-string", "trace-kinds-string",
          "controller-kinds-empty", "trace-kinds-empty", "runs-zero",
          "random-length-zero-unused-kind",
-         "operators-mapping", "constraints-mapping"],
+         "operators-mapping", "constraints-mapping",
+         "out-dir-int", "out-dir-null", "out-dir-list", "out-dir-mapping", "profile-path-int",
+         "controller-kinds-repeated", "trace-kinds-repeated"],
 )
 def test_cli_run_rejects_config_value_of_wrong_shape(tmp_path, capsys, config_text, key):
     assert config_text != MINIMAL_TOPOLOGY

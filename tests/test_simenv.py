@@ -1,6 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adaptsim.controllers import HeuristicController, make_action_space
+from adaptsim.harness import run_episode
 from adaptsim.profiling import ProfileTable
 from adaptsim.service_model import ConstraintSpec, Requirement
 from adaptsim.simenv import (
@@ -107,8 +113,7 @@ def test_chain_params_validation():
 
 def test_scripted_cpu_clamps_and_holds_last_value():
     cpu = ScriptedCpu([1.0, 0.1, 0.4])
-    cpu.reset(np.random.default_rng(0))
-    assert cpu.value == 1.0
+    assert cpu.reset(np.random.default_rng(0)) == 1.0
     assert cpu.step() == 0.3  # clamped up to min_avail
     assert cpu.step() == 0.4
     assert cpu.step() == 0.4  # script exhausted, holds
@@ -257,7 +262,8 @@ def test_observation_reflects_post_step_state(face_profile, face_requirement, fa
     env = Environment(face_profile, face_requirement, make_trace("variable"))
     env.reset(7)
     out = env.step(face_profile.row(face_sorted_configs[511]))
-    assert out.observation.cpu_availability == env.cpu.value
+    cpu, sizes = env.context
+    assert out.observation == (cpu[1], sizes[1])  # frame 1's context
     assert out.observation.input_size == 6  # still inside the first block
 
 
@@ -295,3 +301,59 @@ def test_episode_lengths_exact(face_profile, face_requirement):
     env = Environment(face_profile, face_requirement, make_trace("random", length=77))
     assert env.length == 77
 
+
+
+@st.composite
+def chain_params(draw):
+    lo = draw(st.floats(0.01, 1.0))
+    return CpuChainParams(
+        min_avail=lo,
+        max_avail=draw(st.floats(lo, 1.0)),
+        change_prob=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        delta_mean=draw(st.floats(-1.0, 1.0)),
+        delta_stddev=draw(st.floats(0.0, 1.0)),
+    )
+
+
+cpu_sources = st.one_of(  # a maker of fresh, identical sources
+    chain_params().map(lambda params: partial(CpuChain, params)),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20).map(lambda v: partial(ScriptedCpu, v)),
+)
+traces = st.one_of(
+    st.sampled_from([make_trace("fixed"), make_trace("variable")]),
+    st.integers(1, 300).map(lambda n: make_trace("random", length=n)),
+    st.lists(st.integers(1, 300), min_size=1, max_size=300).map(custom_trace),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    trace=traces,
+    make_cpu=cpu_sources,
+    rows=st.lists(st.integers(0, 511), min_size=1, max_size=8),
+)
+def test_reset_draws_the_context_that_every_step_charges(
+    face_profile, face_requirement, face_sorted_configs, seed, trace, make_cpu, rows
+):
+    chain_ss, trace_ss = np.random.SeedSequence(seed).spawn(2)
+    by_hand = make_cpu()
+    cpu = [by_hand.reset(np.random.default_rng(chain_ss))]
+    cpu += [by_hand.step() for _ in range(trace.length)]  # the last is after the last frame
+    sizes = list(trace.materialize(np.random.default_rng(trace_ss)))
+
+    env = Environment(face_profile, face_requirement, trace, make_cpu())
+    assert [len(column) for column in env.context] == [0, 0]  # no episode yet
+    assert env.reset(seed) == (cpu[0], sizes[0])
+    assert [column.tolist() for column in env.context] == [cpu[:-1], sizes]
+    for t, size in enumerate(sizes):
+        row = rows[t % len(rows)]
+        out = env.step(row)
+        assert out.latency == face_profile.latency_at(size)[row] / cpu[t]
+        assert out.observation == (cpu[t + 1], sizes[min(t + 1, len(sizes) - 1)])
+        assert out.done == (t + 1 == len(sizes))
+
+    actions = make_action_space(face_sorted_configs, 16)
+    episode = run_episode(env, HeuristicController(len(actions)), actions, seed)
+    assert episode.trace.cpu is env.context[0] and episode.trace.input_size is env.context[1]
+    assert [episode.trace.cpu.tolist(), episode.trace.input_size.tolist()] == [cpu[:-1], sizes]
