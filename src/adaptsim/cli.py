@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import zip_longest
 from pathlib import Path
 
 from .config import ConfigError, load_config, refuse_repeats
 from .harness import (
     CONTROLLER_KINDS,
-    METRICS_HEADER,
     CampaignResult,
     emit_report,
     measure_overhead,
-    metrics_row,
     rank_configurations,
-    recompute_metrics_from_trace,
+    read_campaign,
     run_experiment,
 )
 from .profiling import ProfileError, load_profile, save_profile, validate_profile_coverage
@@ -74,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "overhead",
         help="per-decision timing report",
         description="Time each controller's decisions over one random-trace episode of the "
-        "service that --config declares: its topology, requirement, profile and "
-        "controller.actions.",
+        "campaign that --config declares; its trace kinds, runs, seed and out_dir are not used.",
     )
     _add_common(p_overhead)
     p_overhead.add_argument("--steps", type=int, default=20000)
@@ -159,95 +155,28 @@ def _print_summary(results: list[CampaignResult]) -> None:
 def _cmd_overhead(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     kinds = args.controller or ["heuristic", "rl2"]
-    for i, kind in enumerate(kinds):
+    for i, spec in enumerate(cfg.campaign_specs(controllers=kinds, trace_kinds=["random"])):
         report = measure_overhead(
-            kind,
-            steps=args.steps,
-            reference_frame_s=args.reference_frame_ms / 1000.0,
-            action_count=cfg.action_count,
-            profile=cfg.profile,
-            topology=cfg.topology,
-            requirement=cfg.requirement,
+            spec, steps=args.steps, reference_frame_s=args.reference_frame_ms / 1000.0
         )
         if i == 0:  # after the first call, which refuses bad inputs
             print(f"{'controller':>12} {'median ms':>10} {'p99 ms':>10} {'impact %':>9}")
         print(
-            f"{kind:>12} {report.decide_median_s * 1e3:>10.4f} "
+            f"{spec.controller:>12} {report.decide_median_s * 1e3:>10.4f} "
             f"{report.decide_p99_s * 1e3:>10.4f} {report.impact_pct:>9.3f}"
         )
     return 0
 
 
-def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
-    """``campaign_dir``'s run traces in run order, each with its ``metrics.csv`` row.
-    A file the writer could not have named, a gap in the numbering, or a row
-    count other than theirs raises ValueError."""
-    runs_dir = campaign_dir / "runs"
-    found = set(runs_dir.glob("run_*.csv"))
-    for path in sorted(found):
-        k = path.stem[len("run_"):]
-        if not (k.isdigit() and path.name == f"run_{int(k):03d}.csv"):
-            raise ValueError(
-                f"{path} is not a run trace: a campaign's run traces are named "
-                "run_000.csv, run_001.csv and so on"
-            )
-    paths = [runs_dir / f"run_{k:03d}.csv" for k in range(len(found))]
-    for path in paths:
-        if path not in found:
-            raise ValueError(
-                f"{path} is missing: a campaign's run traces are numbered "
-                "from run_000.csv without a gap"
-            )
-    metrics = campaign_dir / "metrics.csv"
-    rows = metrics.read_text(encoding="utf-8").splitlines()[1:]  # after the header
-    listed = [row for row in rows if not row.startswith("mean,")]
-    if len(listed) != len(paths):
-        raise ValueError(
-            f"{runs_dir} holds {len(paths)} run traces, but {metrics} lists {len(listed)} runs"
-        )
-    return list(zip(paths, listed))
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    sorted_configs = rank_configurations(
-        cfg.topology, cfg.profile, cfg.requirement.objective_sense
-    )
+    ranked = rank_configurations(cfg.topology, cfg.profile, cfg.requirement.objective_sense)
     out_root = Path(args.out)
     results: list[CampaignResult] = []
     for campaign_dir in sorted(p for p in out_root.iterdir() if p.is_dir()):
-        runs_dir = campaign_dir / "runs"
-        if not runs_dir.is_dir():
-            continue
-        name = campaign_dir.name
-        controller = trace_kind = ""
-        for kind in (*TRACE_KINDS, "custom"):
-            if name.endswith(f"_{kind}"):
-                controller, trace_kind = name[: -len(kind) - 1], kind
-                break
-        if not controller:
-            continue
-        metrics = []
-        for i, (path, listed) in enumerate(_run_trace_paths(campaign_dir)):
-            metrics.append(recompute_metrics_from_trace(path, sorted_configs, cfg.profile, i))
-            row = metrics_row(metrics[-1]).split(",")
-            for column, was, now in zip_longest(METRICS_HEADER.split(","), listed.split(","), row):
-                if was != now:
-                    raise ValueError(
-                        f"{campaign_dir / 'metrics.csv'}: run {i} lists {column} {was}, but "
-                        f"{path.name} gives {now}; report with the campaign's own --config"
-                    )
-        if not metrics:
-            continue
-        results.append(
-            CampaignResult(
-                controller=controller,
-                trace_kind=trace_kind,
-                objective_metric=cfg.requirement.objective_metric,
-                metrics=metrics,
-                out_dir=campaign_dir,
-            )
-        )
+        result = read_campaign(campaign_dir, ranked, cfg.profile, cfg.requirement.objective_metric)
+        if result is not None:
+            results.append(result)
     if not results:
         raise ValueError(f"no campaign directories with run traces under {out_root}")
     paths = emit_report(results, out_root)

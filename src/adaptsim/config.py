@@ -20,7 +20,7 @@ import yaml
 
 from . import defaults
 from .controllers import HeuristicParams, LearningParams
-from .harness import CONTROLLER_KINDS, ExperimentSpec
+from .harness import CONTROLLER_KINDS, ExperimentSpec, campaign_dir_name
 from .profiling import (
     ProfileError,
     ProfileTable,
@@ -75,9 +75,12 @@ class ExperimentConfig:
         runs: int | None = None,
         base_seed: int | None = None,
     ) -> list[ExperimentSpec]:
-        """One spec per (controller, trace), optionally overridden by the CLI."""
+        """One spec per (controller, trace), optionally overridden by the CLI; a kind
+        named twice is refused."""
         controllers = controllers or self.controllers
         trace_kinds = trace_kinds or self.trace_kinds
+        refuse_repeats(controllers, "the controller list")
+        refuse_repeats(trace_kinds, "the trace kind list")
         out_root = Path(out_dir) if out_dir is not None else self.out_dir
         specs = []
         for trace_kind in trace_kinds:
@@ -90,7 +93,7 @@ class ExperimentConfig:
                         profile=self.profile,
                         trace=trace,
                         controller=controller,
-                        out_dir=out_root / f"{controller}_{trace_kind}",
+                        out_dir=out_root / campaign_dir_name(controller, trace_kind),
                         cpu_params=self.cpu_params,
                         heuristic_params=self.heuristic_params,
                         learning_params=self.learning_params,

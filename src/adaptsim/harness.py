@@ -19,14 +19,14 @@ import os
 import time
 from array import array
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import defaults
 from .controllers import (
     ControllerObservation,
     HeuristicController,
@@ -41,7 +41,7 @@ from .controllers import (
     reward,
     static_fast_index,
 )
-from .profiling import ProfileTable, generate_synthetic_profile
+from .profiling import ProfileTable
 from .service_model import (
     Configuration,
     Requirement,
@@ -190,6 +190,19 @@ class ExperimentSpec:
     def reference_size(self) -> int:
         """The smallest profiled input size, where the configurations are ranked."""
         return self.profile.input_sizes[0]
+
+
+def campaign_dir_name(controller: str, trace_kind: str) -> str:
+    """The directory, under an output root, of ``controller``'s campaign on ``trace_kind``."""
+    return f"{controller}_{trace_kind}"
+
+
+def _campaign_of(name: str) -> tuple[str, str] | None:
+    """``(controller, trace kind)`` that :func:`campaign_dir_name` gave ``name``, else None."""
+    for kind in (*TRACE_KINDS, "custom"):
+        if name.endswith(f"_{kind}") and len(name) > len(kind) + 1:
+            return name[: -len(kind) - 1], kind
+    return None
 
 
 def rank_configurations(
@@ -442,13 +455,15 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
 
     Learning controllers start run 0 from an all-zero table (any existing
     file at the persistence path is overwritten) and chain the table through
-    the remaining runs via save/load round trips.
+    the remaining runs via save/load round trips.  An earlier run's records are
+    deleted first: a shorter re-run leaves none of them behind.
     """
     actions, env = _set_up(spec)
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     encoder = RL_ENCODERS.get(spec.controller)
     with _persistence_lock(spec.qtable_path) if encoder else nullcontext():
+        _clear_records(spec.out_dir)
         runs = [_run_once(spec, actions, env, k, runs_dir, encoder) for k in range(spec.runs)]
     result = CampaignResult(
         controller=spec.controller,
@@ -460,6 +475,22 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
     _write_metrics(result)
     _write_timings(spec.out_dir / "timings.csv", [quantiles for _, quantiles in runs])
     return result
+
+
+def _run_index(path: Path) -> int | None:
+    """k when ``path`` is named ``run_{k:03d}.csv``, as run k's trace is written; else None."""
+    k = path.stem[len("run_"):]
+    return int(k) if k.isdigit() and path.name == f"run_{int(k):03d}.csv" else None
+
+
+def _clear_records(campaign_dir: Path) -> None:
+    """Delete the records a campaign writes into ``campaign_dir``; ``qtable.txt`` is
+    overwritten by run 0.  A ``runs/run_*.csv`` the writer never names stays."""
+    for name in ("metrics.csv", "timings.csv"):
+        (campaign_dir / name).unlink(missing_ok=True)
+    for path in (campaign_dir / "runs").glob("run_*.csv"):
+        if _run_index(path) is not None:
+            path.unlink()
 
 
 def _run_once(
@@ -510,22 +541,18 @@ def _write_timings(path: Path, quantiles: list[tuple[float, float]]) -> None:
 
 
 def measure_overhead(
-    controller_kind: str,
+    spec: ExperimentSpec,
     steps: int = 20000,
     warmup: int = 1000,
     reference_frame_s: float = 0.070,
-    action_count: int | str = 16,
-    profile: ProfileTable | None = None,
-    topology: ServiceTopology | None = None,
-    requirement: Requirement | None = None,
 ) -> OverheadReport:
-    """Time the per-step decision cost of a controller over a long episode.
+    """Time the per-step decision cost of ``spec.controller`` over a long episode.
 
-    Runs one episode of ``warmup + steps`` frames through :func:`run_episode`
-    and keeps the decide() durations after the first ``warmup``.  Only the
-    decide() call is timed (for learners that includes the value update).
-    The impact percentage relates the median decision time to a reference
-    frame processing time, 70 ms by default.
+    Runs one episode of ``warmup + steps`` random-trace frames of ``spec``
+    through :func:`run_episode` and keeps the decide() durations after the
+    first ``warmup``.  Only the decide() call is timed (for learners that
+    includes the value update).  The impact percentage relates the median
+    decision time to a reference frame processing time, 70 ms by default.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -535,28 +562,14 @@ def measure_overhead(
         raise ValueError(
             f"reference frame time must be a finite number > 0, got {reference_frame_s} s"
         )
-    topology = topology or defaults.default_topology()
-    requirement = requirement or defaults.default_requirement()
-    if profile is None:
-        profile = generate_synthetic_profile(
-            defaults.default_model(), topology, defaults.DEFAULT_INPUT_SIZES
-        )
-    spec = ExperimentSpec(
-        topology=topology,
-        requirement=requirement,
-        profile=profile,
-        trace=make_trace("random", length=warmup + steps),
-        controller=controller_kind,
-        out_dir=Path(),  # nothing is written
-        action_count=action_count,
-    )
+    spec = replace(spec, trace=make_trace("random", length=warmup + steps))
     actions, env = _set_up(spec)
     controller = build_controller(spec, actions, rng=np.random.default_rng(OVERHEAD_SEED + 1))
     episode = run_episode(env, controller, actions, OVERHEAD_SEED)
     timed = episode.decide_ns[warmup:]
     median, p99 = _decide_quantiles(timed)
     return OverheadReport(
-        controller=controller_kind,
+        controller=spec.controller,
         steps=len(timed),
         decide_median_s=median,
         decide_p99_s=p99,
@@ -672,3 +685,56 @@ def recompute_metrics_from_trace(
     """
     objective_of = [profile.objective(config) for config in sorted_configs]
     return _run_metrics(run_index, _trace_frames(path, len(sorted_configs)), objective_of)
+
+
+def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
+    """``campaign_dir``'s run traces in run order, each with its ``metrics.csv`` row.
+    A file the writer could not have named, a gap in the numbering, or a row
+    count other than theirs raises ValueError."""
+    runs_dir = campaign_dir / "runs"
+    found = set(runs_dir.glob("run_*.csv"))
+    for path in sorted(found):
+        if _run_index(path) is None:
+            raise ValueError(
+                f"{path} is not a run trace: a campaign's run traces are named "
+                "run_000.csv, run_001.csv and so on"
+            )
+    paths = [runs_dir / f"run_{k:03d}.csv" for k in range(len(found))]
+    for path in paths:
+        if path not in found:
+            raise ValueError(
+                f"{path} is missing: a campaign's run traces are numbered "
+                "from run_000.csv without a gap"
+            )
+    metrics = campaign_dir / "metrics.csv"
+    rows = metrics.read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    listed = [row for row in rows if not row.startswith("mean,")]
+    if len(listed) != len(paths):
+        raise ValueError(
+            f"{runs_dir} holds {len(paths)} run traces, but {metrics} lists {len(listed)} runs"
+        )
+    return list(zip(paths, listed))
+
+
+def read_campaign(
+    campaign_dir: Path, ranked: list[Configuration], profile: ProfileTable, objective_metric: str
+) -> CampaignResult | None:
+    """The campaign in ``campaign_dir``, recomputed from its run traces, each checked
+    against its ``metrics.csv`` row; None when ``campaign_dir`` has no ``runs/``, a
+    name :func:`campaign_dir_name` does not give, or no runs in its ``metrics.csv``."""
+    campaign = _campaign_of(campaign_dir.name)
+    if campaign is None or not (campaign_dir / "runs").is_dir():
+        return None
+    metrics = []
+    for i, (path, listed) in enumerate(_run_trace_paths(campaign_dir)):
+        metrics.append(recompute_metrics_from_trace(path, ranked, profile, i))
+        row = metrics_row(metrics[-1]).split(",")
+        for column, was, now in zip_longest(METRICS_HEADER.split(","), listed.split(","), row):
+            if was != now:
+                raise ValueError(
+                    f"{campaign_dir / 'metrics.csv'}: run {i} lists {column} {was}, but "
+                    f"{path.name} gives {now}; report with the campaign's own --config"
+                )
+    if not metrics:
+        return None
+    return CampaignResult(*campaign, objective_metric, metrics, campaign_dir)

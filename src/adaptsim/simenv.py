@@ -16,9 +16,10 @@ of the trace raises :class:`EpisodeFinished`.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,6 +140,15 @@ class ScriptedCpu:
         return self._values[min(self._idx, len(self._values) - 1)]
 
 
+def _is_count(value: Any, least: int) -> bool:
+    """Whether ``value`` is an integer >= ``least``, numpy's included; a bool, a float
+    or a string is not, whatever it would convert to."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class InputTrace:
     """Per-step input sizes (faces per frame) for one episode.
@@ -154,10 +164,20 @@ class InputTrace:
 
     def __post_init__(self) -> None:
         if self.sizes is not None:
-            object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-            object.__setattr__(self, "length", len(self.sizes))
-        if self.length <= 0:
-            raise ValueError("trace length must be >= 1")
+            given = tuple(self.sizes)
+            try:  # one pass over the sizes when all are valid; full_day has 86 400
+                sizes = tuple(map(operator.index, given))
+            except TypeError:  # a float or a string among them
+                sizes = ()
+            valid = len(sizes) == len(given) and min(sizes, default=0) >= 0
+            if not valid or bool in set(map(type, given)):
+                bad = next(s for s in given if not _is_count(s, 0))
+                raise ValueError(f"an input size must be an integer >= 0, got {bad!r}")
+            object.__setattr__(self, "sizes", sizes)
+            object.__setattr__(self, "length", len(sizes))
+        if not _is_count(self.length, 1):
+            raise ValueError(f"trace length must be an integer >= 1, got {self.length!r}")
+        object.__setattr__(self, "length", operator.index(self.length))
 
     def materialize(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Concrete per-step sizes for one episode."""
@@ -203,7 +223,7 @@ def make_trace(
         sizes = [table[second // 3600] for second in range(FULL_DAY_STEPS)]
         return InputTrace(kind=kind, sizes=tuple(sizes))
     if kind == "random":
-        return InputTrace(kind=kind, length=1000 if length is None else int(length))
+        return InputTrace(kind=kind, length=1000 if length is None else length)
     raise ValueError(f"unknown trace kind {kind!r}")
 
 

@@ -212,11 +212,19 @@ def test_criterion_6_learning_effect(campaign):
     )
 
 
-def test_criterion_7_overhead():
+def test_criterion_7_overhead(face_profile, face_topology, face_requirement):
     details = []
     ok = True
     for kind in ("heuristic", "rl2"):
-        report = measure_overhead(kind, steps=15000, warmup=1000, reference_frame_s=0.070)
+        spec = ExperimentSpec(
+            topology=face_topology,
+            requirement=face_requirement,
+            profile=face_profile,
+            trace=make_trace("random"),
+            controller=kind,
+            out_dir=".",  # nothing is written
+        )
+        report = measure_overhead(spec, steps=15000, warmup=1000, reference_frame_s=0.070)
         ok = ok and report.decide_median_s < 0.5e-3 and report.impact_pct < 0.5
         details.append(
             f"{kind}: median {report.decide_median_s * 1e3:.4f} ms, "

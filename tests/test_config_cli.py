@@ -5,13 +5,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from adaptsim.cli import _run_trace_paths, build_parser, main
+from adaptsim.cli import build_parser, main
 from adaptsim.config import ConfigError, load_config
-from adaptsim.controllers import make_action_space
+from adaptsim.controllers import HeuristicParams, LearningParams, make_action_space
 from adaptsim.defaults import default_model, default_topology
-from adaptsim.harness import METRICS_HEADER, measure_overhead
+from adaptsim.harness import METRICS_HEADER, _run_trace_paths, measure_overhead
 from adaptsim.profiling import ProfileError
 from adaptsim.service_model import enumerate_configurations, sort_by_objective
+from adaptsim.simenv import CpuChainParams
 
 NONMONOTONE = Path(__file__).resolve().parent.parent / "configs" / "nonmonotone.yaml"
 
@@ -392,22 +393,61 @@ def test_cli_overhead_times_the_configured_service(tmp_path, capsys, monkeypatch
 
     seen = []
 
-    def spy(kind, **kwargs):
-        seen.append(kwargs)
-        return measure_overhead(kind, **kwargs)
+    def spy(spec, **kwargs):
+        seen.append(spec)
+        return measure_overhead(spec, **kwargs)
 
     monkeypatch.setattr(cli, "measure_overhead", spy)
     exp = tmp_path / "exp.yaml"
-    exp.write_text(MINIMAL_TOPOLOGY)
+    exp.write_text(
+        MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning: {alpha: 0.3}\n")
+        + "cpu: {min_avail: 0.5, change_prob: 0.2}\n"
+    )
     assert main(["overhead", "--config", str(exp), "--steps", "50",
                  "--controller", "heuristic", "--controller", "rl2"]) == 0
     assert "rl2" in capsys.readouterr().out
-    assert len(seen) == 2
-    for kwargs in seen:
-        assert len(enumerate_configurations(kwargs["topology"])) == 4
-        assert kwargs["requirement"].constraints[0].target == 2.0
-        assert kwargs["profile"].input_sizes == (1, 4, 16)
-        assert kwargs["action_count"] == "all"
+    assert [spec.controller for spec in seen] == ["heuristic", "rl2"]
+    for spec in seen:
+        assert len(enumerate_configurations(spec.topology)) == 4
+        assert spec.requirement.constraints[0].target == 2.0
+        assert spec.profile.input_sizes == (1, 4, 16)
+        assert spec.action_count == "all"
+        assert spec.cpu_params == CpuChainParams(min_avail=0.5, change_prob=0.2)
+        assert spec.learning_params == LearningParams(alpha=0.3)
+        assert spec.heuristic_params == HeuristicParams(upgrade_after=4)
+
+
+def test_cli_overhead_refuses_a_repeated_controller(capsys):
+    status = main(["overhead", "--steps", "50", "--controller", "heuristic",
+                   "--controller", "rl2", "--controller", "heuristic"])
+    assert status == 1
+    assert capsys.readouterr() == (
+        "", "error: the controller list names 'heuristic' more than once\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "keyword, kinds, message",
+    [("controllers", ["rl2", "heuristic", "rl2"], "the controller list names 'rl2'"),
+     ("trace_kinds", ["random", "fixed", "fixed"], "the trace kind list names 'fixed'")],
+)
+def test_campaign_specs_refuses_a_repeated_kind(keyword, kinds, message):
+    with pytest.raises(ConfigError, match=f"^{message} more than once$"):
+        load_config(None).campaign_specs(**{keyword: kinds})
+
+
+def test_cli_report_reads_a_campaign_rerun_with_fewer_runs(tmp_path, capsys):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root), "--runs", "3"]) == 0
+    assert main(["run", "--config", str(exp), "--out", str(out_root), "--runs", "1"]) == 0
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_root / "summary.csv").read_bytes() == summary
+    assert [p.name for p in (out_root / "heuristic_random" / "runs").iterdir()] == ["run_000.csv"]
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

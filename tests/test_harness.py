@@ -1,12 +1,14 @@
 import filecmp
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
 import weakref
 from array import array
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +31,17 @@ from adaptsim.harness import (
     CampaignLockError,
     EpisodeTrace,
     ExperimentSpec,
+    campaign_dir_name,
     emit_report,
     measure_overhead,
+    read_campaign,
     recompute_metrics_from_trace,
     run_episode,
     run_experiment,
     write_run_trace,
 )
 from adaptsim.service_model import enumerate_configurations, sort_by_objective
-from adaptsim.simenv import Environment, make_trace
+from adaptsim.simenv import Environment, custom_trace, make_trace
 
 
 def spec_for(tmp_path, controller, profile, topology, requirement, **kw):
@@ -403,8 +407,9 @@ def test_spec_validation(tmp_path, face_profile, face_topology, face_requirement
         spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=0)
 
 
-def test_measure_overhead_report():
-    report = measure_overhead("heuristic", steps=2000, warmup=200)
+def test_measure_overhead_report(tmp_path, face_profile, face_topology, face_requirement):
+    spec = spec_for(tmp_path, "heuristic", face_profile, face_topology, face_requirement)
+    report = measure_overhead(spec, steps=2000, warmup=200)
     assert report.steps == 2000
     assert report.decide_median_s > 0
     assert report.decide_p99_s >= report.decide_median_s
@@ -415,20 +420,29 @@ def test_measure_overhead_report():
     assert report.impact_pct < 5.0  # generous unit-level bound
 
 
-def test_measure_overhead_rl_includes_update():
-    report = measure_overhead("rl2", steps=2000, warmup=200)
+def test_measure_overhead_rl_includes_update(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    spec = spec_for(tmp_path, "rl2", face_profile, face_topology, face_requirement)
+    report = measure_overhead(spec, steps=2000, warmup=200)
     assert report.decide_median_s > 0
     assert report.impact_pct < 5.0
 
 
-def test_measure_overhead_refuses_negative_warmup():
+def test_measure_overhead_refuses_negative_warmup(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    spec = spec_for(tmp_path, "heuristic", face_profile, face_topology, face_requirement)
     with pytest.raises(ValueError, match="^warmup must be >= 0, got -10$"):
-        measure_overhead("heuristic", steps=100, warmup=-10)
+        measure_overhead(spec, steps=100, warmup=-10)
 
 
 @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
-def test_measure_overhead_builds_every_controller(kind):
-    report = measure_overhead(kind, steps=300, warmup=30)
+def test_measure_overhead_builds_every_controller(
+    tmp_path, face_profile, face_topology, face_requirement, kind
+):
+    spec = spec_for(tmp_path, kind, face_profile, face_topology, face_requirement)
+    report = measure_overhead(spec, steps=300, warmup=30)
     assert (report.controller, report.steps) == (kind, 300)
     assert 0 < report.decide_median_s <= report.decide_p99_s
 
@@ -664,3 +678,71 @@ def test_run_episode_refuses_an_action_outside_the_space(
     with pytest.raises(IndexError, match=f"^decide\\(\\) returned action {bad} of 16 actions$"):
         run_episode(env, _Returns(0, 3, bad), actions, 1)
     assert len(charged) == 2  # the bad frame was refused before it was charged
+
+
+campaign_traces = st.one_of(
+    st.sampled_from(["fixed", "variable"]).map(make_trace),
+    st.integers(1, 60).map(lambda n: make_trace("random", length=n)),
+    st.lists(st.integers(1, 300), min_size=1, max_size=60).map(custom_trace),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(CONTROLLER_KINDS),
+    trace=campaign_traces,
+    runs=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_read_campaign_gives_back_what_run_experiment_wrote(
+    tmp_path_factory, face_profile, face_topology, face_requirement, kind, trace, runs, seed
+):
+    root = tmp_path_factory.mktemp("root")
+    spec = ExperimentSpec(
+        topology=face_topology,
+        requirement=face_requirement,
+        profile=face_profile,
+        trace=trace,
+        controller=kind,
+        out_dir=root / campaign_dir_name(kind, trace.kind),
+        runs=runs,
+        base_seed=seed,
+    )
+    result = run_experiment(spec)
+    ranked = harness.rank_configurations(face_topology, face_profile, "maximize")
+    read = partial(
+        read_campaign, ranked=ranked, profile=face_profile,
+        objective_metric=face_requirement.objective_metric,
+    )
+    assert read(spec.out_dir) == result
+    assert read(root) is None
+    without_runs = root / "elsewhere" / spec.out_dir.name
+    without_runs.mkdir(parents=True)
+    shutil.copy(spec.out_dir / "metrics.csv", without_runs)
+    assert read(without_runs) is None
+    (without_runs / "runs").mkdir()  # and a metrics.csv that lists no runs
+    (without_runs / "metrics.csv").write_text(harness.METRICS_HEADER + "\n")
+    assert read(without_runs) is None
+
+
+@pytest.mark.parametrize("kind", ["heuristic", "rl2"])
+def test_a_shorter_rerun_leaves_none_of_the_longer_runs_records(
+    tmp_path, face_profile, face_topology, face_requirement, kind
+):
+    spec = spec_for(
+        tmp_path, kind, face_profile, face_topology, face_requirement,
+        trace=make_trace("random", length=40),
+        out_dir=tmp_path / campaign_dir_name(kind, "random"),
+    )
+    run_experiment(spec)  # three runs
+    stray = spec.out_dir / "runs" / "run_old.csv"
+    stray.write_text("not written by a campaign\n")
+    result = run_experiment(replace(spec, runs=1))
+    assert sorted(p.name for p in (spec.out_dir / "runs").iterdir()) == [
+        "run_000.csv", "run_old.csv"
+    ]
+    assert len((spec.out_dir / "metrics.csv").read_text().splitlines()) == 3  # and the means
+    assert len((spec.out_dir / "timings.csv").read_text().splitlines()) == 2
+    stray.unlink()
+    ranked = harness.rank_configurations(face_topology, face_profile, "maximize")
+    assert read_campaign(spec.out_dir, ranked, face_profile, "precision") == result

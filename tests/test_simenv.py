@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -15,6 +16,7 @@ from adaptsim.simenv import (
     CpuChainParams,
     Environment,
     EpisodeFinished,
+    InputTrace,
     ScriptedCpu,
     custom_trace,
     make_trace,
@@ -174,6 +176,37 @@ def test_random_trace_seeded_is_reproducible():
 def test_unknown_trace_kind():
     with pytest.raises(ValueError, match="unknown trace kind"):
         make_trace("bursty")
+
+
+@pytest.mark.parametrize(
+    "sizes, bad",
+    [([-5], -5), ([6, 2.7], 2.7), ([True], True), ([6, "3"], "3"),
+     ([np.float64(6.0)], np.float64(6.0)), ([6, -1, 2.5], -1)],
+)
+def test_custom_trace_refuses_a_size_that_is_not_a_face_count(sizes, bad):
+    message = f"an input size must be an integer >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        custom_trace(sizes)
+
+
+@pytest.mark.parametrize("length", [2.5, "3", True, 0, -4, 3.0, None])
+def test_random_trace_refuses_a_length_that_is_not_a_positive_integer(length):
+    message = f"trace length must be an integer >= 1, got {length!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InputTrace(kind="random", length=length)
+    if length is not None:  # make_trace's None is its default length
+        with pytest.raises(ValueError, match="^trace length must be an integer >= 1, got "):
+            make_trace("random", length=length)
+
+
+def test_traces_keep_numpy_integers_as_ints():
+    trace = custom_trace(np.array([0, 6, 192], dtype=np.int64))
+    assert trace.sizes == (0, 6, 192)
+    assert all(type(s) is int for s in trace.sizes)
+    random = make_trace("random", length=np.uint16(7))
+    assert random.length == 7 and type(random.length) is int
+    with pytest.raises(ValueError, match="^trace length must be an integer >= 1, got 0$"):
+        custom_trace([])
 
 
 # --- environment stepping -------------------------------------------------
