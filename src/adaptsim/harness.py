@@ -18,7 +18,7 @@ import math
 import os
 import time
 from array import array
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import zip_longest
@@ -63,7 +63,7 @@ Frames = Iterable[tuple[int, int, float]]  # a run's (ordinal, satisfied, reward
 
 
 class CampaignLockError(RuntimeError):
-    """Another campaign is already writing to the same persistence path."""
+    """Another running campaign holds the lock on the same campaign directory."""
 
 
 def _fmt(x: float) -> str:
@@ -364,37 +364,12 @@ def write_run_trace(path: Path, trace: EpisodeTrace) -> None:
         f.writelines(rows)
 
 
-def _lock_owner(lock: Path) -> int | None:
-    """The PID written in a lock file, or None when it holds none."""
-    try:
-        pid = int(lock.read_text(encoding="utf-8").strip())
-    except (FileNotFoundError, ValueError):
-        return None
-    return pid if pid > 0 else None
-
-
-def _is_running(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):  # gone, or no possible PID
-        return False
-    except PermissionError:  # alive, but owned by another user
-        return True
-    return True
-
-
-def _take_over(lock: Path, path: Path) -> int:
-    """A descriptor holding the existing ``lock`` under ``flock``, once it is known stale.
-
-    The PID is read under the flock, from the file the path still names, and
-    overwritten in place: of two campaigns that find the same stale lock,
-    exactly one gets the flock and the other is refused.
-    """
-    changed = f"{lock} changed while being checked: another campaign is using {path}"
-    try:
-        fd = os.open(lock, os.O_WRONLY)
-    except FileNotFoundError:
-        raise CampaignLockError(changed) from None
+@contextmanager
+def _persistence_lock(path: Path):
+    """Hold an exclusive ``flock`` on ``<path>.lock`` for the block.  A lock file no
+    process holds is taken, whatever it contains; the PID written there is for people."""
+    lock = path.with_name(path.name + ".lock")
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -406,44 +381,16 @@ def _take_over(lock: Path, path: Path) -> int:
             same_file = os.path.samestat(os.fstat(fd), os.stat(lock))
         except FileNotFoundError:
             same_file = False
-        if not same_file:
-            raise CampaignLockError(changed)
-        owner = _lock_owner(lock)
-        if owner is None:
+        if not same_file:  # deleted or replaced by the campaign that held it before
             raise CampaignLockError(
-                f"{lock} exists: another campaign appears to be using {path}; "
-                "remove the lock file if that campaign is no longer running"
-            )
-        if _is_running(owner):
-            raise CampaignLockError(
-                f"{lock} is held by running process {owner}: "
-                f"another campaign is using {path}"
+                f"{lock} changed while being checked: another campaign is using {path}"
             )
         os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode())
     except BaseException:
         os.close(fd)
         raise
-    return fd
-
-
-@contextmanager
-def _persistence_lock(path: Path):
-    """Hold ``<path>.lock`` (holding this process's PID) for the block.
-
-    The holder keeps an exclusive ``flock`` on the file for the whole block.
-    A lock whose PID names no running process was left by a killed campaign
-    and is taken over; a lock without a PID is always refused.
-    """
-    lock = path.with_name(path.name + ".lock")
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        fd = _take_over(lock, path)
-    else:
-        # Until the PID is written, a taker reads none and lets go at once.
-        fcntl.flock(fd, fcntl.LOCK_EX)
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -455,25 +402,26 @@ def run_experiment(spec: ExperimentSpec) -> CampaignResult:
 
     Learning controllers start run 0 from an all-zero table (any existing
     file at the persistence path is overwritten) and chain the table through
-    the remaining runs via save/load round trips.  An earlier run's records are
-    deleted first: a shorter re-run leaves none of them behind.
+    the remaining runs via save/load round trips.  Every campaign holds its
+    directory's lock while it deletes an earlier run's records and writes its
+    own: a shorter re-run leaves none of the old ones behind.
     """
     actions, env = _set_up(spec)
     runs_dir = spec.out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     encoder = RL_ENCODERS.get(spec.controller)
-    with _persistence_lock(spec.qtable_path) if encoder else nullcontext():
+    with _persistence_lock(spec.qtable_path):
         _clear_records(spec.out_dir)
         runs = [_run_once(spec, actions, env, k, runs_dir, encoder) for k in range(spec.runs)]
-    result = CampaignResult(
-        controller=spec.controller,
-        trace_kind=spec.trace.kind,
-        objective_metric=spec.requirement.objective_metric,
-        metrics=[metrics for metrics, _ in runs],
-        out_dir=spec.out_dir,
-    )
-    _write_metrics(result)
-    _write_timings(spec.out_dir / "timings.csv", [quantiles for _, quantiles in runs])
+        result = CampaignResult(
+            controller=spec.controller,
+            trace_kind=spec.trace.kind,
+            objective_metric=spec.requirement.objective_metric,
+            metrics=[metrics for metrics, _ in runs],
+            out_dir=spec.out_dir,
+        )
+        _write_metrics(result)
+        _write_timings(spec.out_dir / "timings.csv", [quantiles for _, quantiles in runs])
     return result
 
 
@@ -707,7 +655,12 @@ def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
                 "from run_000.csv without a gap"
             )
     metrics = campaign_dir / "metrics.csv"
-    rows = metrics.read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    try:
+        rows = metrics.read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    except FileNotFoundError:
+        raise ValueError(
+            f"{metrics} is missing: the campaign did not finish or is still running; run it again"
+        ) from None
     listed = [row for row in rows if not row.startswith("mean,")]
     if len(listed) != len(paths):
         raise ValueError(

@@ -278,6 +278,25 @@ def test_cli_report_refuses_a_deleted_last_run_trace(tmp_path, capsys):
     assert (out_root / "summary.csv").read_bytes() == summary
 
 
+def test_cli_report_refuses_a_campaign_without_metrics(tmp_path, capsys):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root)]) == 0
+    metrics = out_root / "heuristic_random" / "metrics.csv"
+    metrics.unlink()
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: {metrics} is missing: the campaign did not finish or is still running; "
+        "run it again\n"
+    )
+    assert out == ""
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
 def test_cli_report_refuses_a_config_other_than_the_campaigns(tmp_path, capsys):
     # Without --config, report ranks configurations for the default
     # requirement, which maximizes: the recomputed runs disagree with the

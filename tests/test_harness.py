@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 import weakref
 from array import array
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -244,43 +245,99 @@ def test_rl2_campaign_memory_grows_with_the_rows_it_writes(tmp_path):
     assert growth < dense / 2, f"peak grew {growth / 1e6:.1f} MB over the rl2 campaign"
 
 
-def test_persistence_lock_collision(tmp_path, face_profile, face_topology, face_requirement):
-    spec = spec_for(tmp_path, "rl2", face_profile, face_topology, face_requirement, runs=1)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    lock = spec.qtable_path.with_name(spec.qtable_path.name + ".lock")
-    lock.write_text("")
-    with pytest.raises(CampaignLockError):
-        run_experiment(spec)
-    lock.unlink()
-    run_experiment(spec)
-    assert not lock.exists()
-
-
-def test_stale_lock_of_a_reaped_process_is_taken_over(
-    tmp_path, face_profile, face_topology, face_requirement
-):
-    spec = spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=1)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+def reaped_pid() -> int:
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()  # reaped: its PID no longer names a running process
+    return child.pid
+
+
+_HOLD_LOCK = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("held", flush=True)
+time.sleep(600)
+"""
+
+
+@contextmanager
+def lock_held_by_a_child(lock: Path):
+    """A live child holds ``lock`` under ``flock`` as flock(1) does, writing nothing
+    into it; it is killed with SIGKILL and reaped when the block ends."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(lock)], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        assert child.stdout.readline() == "held\n"
+        yield child
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [lambda: "", lambda: f"{reaped_pid()}\n", lambda: f"{os.getpid()}\n", lambda: "junk"],
+    ids=["empty", "reaped", "live", "junk"],
+)
+def test_stale_lock_of_a_reaped_process_is_taken_over(
+    tmp_path, face_profile, face_topology, face_requirement, content
+):
+    # No process holds the lock file, so it is taken whatever it holds: even
+    # the PID of a running process (this one).
+    spec = spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=1)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     lock = spec.qtable_path.with_name(spec.qtable_path.name + ".lock")
-    lock.write_text(f"{child.pid}\n")
+    lock.write_text(content())
     run_experiment(spec)
     assert not lock.exists()
     assert spec.qtable_path.exists()
 
 
-def test_lock_of_a_running_process_is_refused_and_names_it(
+def test_a_killed_holders_lock_is_taken_without_clean_up(
     tmp_path, face_profile, face_topology, face_requirement
 ):
-    spec = spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=1)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    spec = spec_for(tmp_path, "rl2", face_profile, face_topology, face_requirement, runs=1)
+    spec.out_dir.mkdir(parents=True)
     lock = spec.qtable_path.with_name(spec.qtable_path.name + ".lock")
-    lock.write_text(f"{os.getpid()}\n")
-    with pytest.raises(CampaignLockError, match=f"process {os.getpid()}"):
-        run_experiment(spec)
-    assert lock.read_text() == f"{os.getpid()}\n"
-    assert not spec.qtable_path.exists()
+    with lock_held_by_a_child(lock):
+        with pytest.raises(CampaignLockError, match="is held by a running campaign"):
+            run_experiment(spec)
+        assert not spec.qtable_path.exists()
+    assert lock.read_text() == ""  # the killed holder's file, left as it was
+    run_experiment(spec)
+    assert spec.qtable_path.exists()
+    assert not lock.exists()
+
+
+def test_a_held_lock_refuses_a_static_campaign_before_it_touches_a_record(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    spec = spec_for(tmp_path, "heuristic", face_profile, face_topology, face_requirement)
+    lock = spec.qtable_path.with_name("qtable.txt.lock")
+
+    def records():
+        return {p: p.read_bytes() for p in spec.out_dir.rglob("*") if p.is_file() and p != lock}
+
+    run_experiment(spec)
+    before = records()
+    assert len(before) == 5  # metrics.csv, timings.csv and three run traces
+    with lock_held_by_a_child(lock):
+        with pytest.raises(CampaignLockError, match="is held by a running campaign"):
+            run_experiment(replace(spec, runs=1))
+    assert records() == before
+
+
+def test_of_two_nested_locks_on_one_path_exactly_one_holds(tmp_path):
+    path = tmp_path / "qtable.txt"
+    lock = tmp_path / "qtable.txt.lock"
+    with harness._persistence_lock(path):
+        with pytest.raises(CampaignLockError, match="is held by a running campaign"):
+            with harness._persistence_lock(path):
+                pass
+        assert lock.read_text() == f"{os.getpid()}\n"
+    assert not lock.exists()
 
 
 def test_lock_holds_the_owner_pid_while_the_campaign_runs(
@@ -298,27 +355,6 @@ def test_lock_holds_the_owner_pid_while_the_campaign_runs(
     monkeypatch.setattr(harness, "qtable_save", save_and_look)
     run_experiment(spec)
     assert seen == [f"{os.getpid()}\n"]
-    assert not lock.exists()
-
-
-def reaped_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # reaped: its PID no longer names a running process
-    return child.pid
-
-
-def test_a_stale_lock_is_taken_over_by_one_campaign_only(tmp_path, monkeypatch):
-    path = tmp_path / "qtable.txt"
-    lock = tmp_path / "qtable.txt.lock"
-    stale = reaped_pid()
-    lock.write_text(f"{stale}\n")
-    with harness._persistence_lock(path):  # campaign A takes the stale lock over
-        # Campaign B read the same stale PID before A wrote its own.
-        monkeypatch.setattr(harness, "_lock_owner", lambda lock: stale)
-        with pytest.raises(CampaignLockError):
-            with harness._persistence_lock(path):
-                pass
-        assert lock.read_text() == f"{os.getpid()}\n"
     assert not lock.exists()
 
 
@@ -723,6 +759,24 @@ def test_read_campaign_gives_back_what_run_experiment_wrote(
     (without_runs / "runs").mkdir()  # and a metrics.csv that lists no runs
     (without_runs / "metrics.csv").write_text(harness.METRICS_HEADER + "\n")
     assert read(without_runs) is None
+
+
+def test_read_campaign_names_a_missing_metrics_file(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    spec = spec_for(
+        tmp_path, "heuristic", face_profile, face_topology, face_requirement,
+        out_dir=tmp_path / campaign_dir_name("heuristic", "variable"), runs=2,
+    )
+    run_experiment(spec)
+    metrics = spec.out_dir / "metrics.csv"
+    metrics.unlink()  # as a campaign killed before its end, or still running, leaves it
+    ranked = harness.rank_configurations(face_topology, face_profile, "maximize")
+    with pytest.raises(ValueError) as refused:
+        read_campaign(spec.out_dir, ranked, face_profile, "precision")
+    assert str(refused.value) == (
+        f"{metrics} is missing: the campaign did not finish or is still running; run it again"
+    )
 
 
 @pytest.mark.parametrize("kind", ["heuristic", "rl2"])
