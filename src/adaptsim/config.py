@@ -43,6 +43,34 @@ class ConfigError(ValueError):
     """Raised when an experiment config file cannot be interpreted."""
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"  # the key of ``<<: *anchor``
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` refusing a key written twice in one mapping, where
+    PyYAML would keep the last value; a key that a merge brings in may still
+    be overridden."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._checked = set()  # mapping nodes: applying a merge rewrites a node's entries
+
+    def flatten_mapping(self, node):  # every mapping comes here before its merges are applied
+        if node not in self._checked:
+            self._checked.add(node)
+            first_line = {}
+            for key_node, _ in node.value:
+                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE_TAG:
+                    continue  # the base refuses an unhashable key, and applies a merge
+                key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                if key in first_line:
+                    raise ConfigError(
+                        f"line {line}: key {key!r} appears twice (first on line {first_line[key]})"
+                    )
+                first_line[key] = line
+        super().flatten_mapping(node)
+
+
 @dataclass
 class ExperimentConfig:
     topology: ServiceTopology
@@ -224,11 +252,13 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
+            loaded = yaml.load(path.read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             detail = f"line {mark.line + 1}: {exc.problem}" if mark else " ".join(str(exc).split())
             raise ConfigError(f"{path}: not valid YAML: {detail}") from None
+        except ConfigError as exc:  # a key written twice
+            raise ConfigError(f"{path}: {exc}") from None
         raw = {} if loaded is None else loaded
         if not isinstance(raw, Mapping):
             raise ConfigError(f"{path}: top level must be a mapping")

@@ -294,6 +294,7 @@ def qtable_load(path: str | Path) -> QTable:
     values = _zeros_on_demand((rows, cols), np.float64)
     visits = _zeros_on_demand((rows, cols), np.int64)
     listed = set()
+    total = 0  # of the visit counts: QTable.total_visits is an int64 sum
     for number, line in enumerate(lines[1:], 2):
         try:
             fields = line.split()
@@ -308,6 +309,9 @@ def qtable_load(path: str | Path) -> QTable:
                 raise ValueError(f"Q-value {value} is not finite")
             if not 0 <= count < 2**63:
                 raise ValueError(f"visit count {count} is not a non-negative 64-bit integer")
+            total += count
+            if total >= 2**63:
+                raise ValueError("visit counts total past 2^63 - 1")
         except ValueError as exc:
             raise ValueError(f"{path}: line {number}: {exc}") from None
         listed.add((r, c))

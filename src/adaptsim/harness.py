@@ -56,10 +56,10 @@ RL_ENCODERS = {"rl1": "v1", "rl2": "v2"}  # learner kind -> state encoder
 
 TRACE_FILE_HEADER = "step,cpu,input_size,ordinal,latency,satisfied,reward"
 _TRACE_COLUMNS = tuple(TRACE_FILE_HEADER.split(","))
+_TRACE_CELL_TYPES = (int, float, int, int, float, int, float)  # of _TRACE_COLUMNS
 METRICS_HEADER = "run,steps,mean_objective,latency_satisfaction_pct,mean_reward"
 TIMINGS_HEADER = "run,decide_median_s,decide_p99_s"
 OVERHEAD_SEED = 7  # measure_overhead's episode
-Frames = Iterable[tuple[int, int, float]]  # a run's (ordinal, satisfied, reward), in step order
 
 
 class CampaignLockError(RuntimeError):
@@ -289,10 +289,9 @@ def run_episode(
         reward_col[t] = reward(obs, requirement)
     controller.finish(obs)
     objective_of = dict(zip(ordinals, env.profile.objectives[rows].tolist()))
-    frames = zip(trace.ordinal, trace.satisfied, trace.reward)
     return EpisodeResult(
         trace=trace,
-        metrics=_run_metrics(run_index, frames, objective_of),
+        metrics=_run_metrics(run_index, trace, objective_of),
         decide_ns=decide_ns,
     )
 
@@ -305,26 +304,20 @@ def _decide_quantiles(decide_ns: array) -> tuple[float, float]:
 
 
 def _run_metrics(
-    run_index: int, frames: Frames, objective_of: Mapping[int, float] | Sequence[float]
+    run_index: int, trace: EpisodeTrace, objective_of: Mapping[int, float] | Sequence[float]
 ) -> RunMetrics:
-    """A run's ``metrics.csv`` row from its frames in step order, in memory or from its file.
+    """A run's ``metrics.csv`` row from its trace, as the episode held it or as read back.
 
     ``objective_of[ordinal]`` is a frame's objective; each mean is summed
     left to right, as :func:`_sum` does, so both sources give the same bytes.
     """
-    steps = satisfied_total = 0
-    objective_total = reward_total = 0.0
-    for ordinal, satisfied, rew in frames:
-        steps += 1
-        objective_total += objective_of[ordinal]
-        satisfied_total += satisfied
-        reward_total += rew
+    steps = len(trace)
     return RunMetrics(
         run_index=run_index,
         steps=steps,
-        mean_objective=objective_total / steps,
-        latency_satisfaction_pct=100.0 * satisfied_total / steps,
-        mean_reward=reward_total / steps,
+        mean_objective=_sum(map(objective_of.__getitem__, trace.ordinal)) / steps,
+        latency_satisfaction_pct=100.0 * sum(trace.satisfied) / steps,
+        mean_reward=_sum(trace.reward) / steps,
     )
 
 
@@ -573,8 +566,8 @@ def emit_report(results: Sequence[CampaignResult], out_dir: str | Path) -> dict[
     return {"summary": summary_path, "bar_chart": bar_path}
 
 
-def _trace_row(line: str, step: int, configs: int) -> tuple[int, int, float]:
-    """(ordinal, satisfied, reward) of the run-trace row due at ``step``.
+def _trace_row(line: str, step: int, configs: int) -> list:
+    """The run-trace row due at ``step``: its seven cells, typed as the header names them.
 
     Raises ValueError naming the first cell that a trace writer could not
     have written.
@@ -583,7 +576,7 @@ def _trace_row(line: str, step: int, configs: int) -> tuple[int, int, float]:
     if len(cells) != len(_TRACE_COLUMNS):
         raise ValueError(f"expected {len(_TRACE_COLUMNS)} cells, got {len(cells)}")
     values = []
-    for name, cell, kind in zip(_TRACE_COLUMNS, cells, (int, float, int, int, float, int, float)):
+    for name, cell, kind in zip(_TRACE_COLUMNS, cells, _TRACE_CELL_TYPES):
         try:
             value = kind(cell)
         except ValueError:
@@ -592,32 +585,37 @@ def _trace_row(line: str, step: int, configs: int) -> tuple[int, int, float]:
         if kind is float and not math.isfinite(value):
             raise ValueError(f"{name} {cell!r} is not finite")
         values.append(value)
-    row_step, _, _, ordinal, _, satisfied, rew = values
+    row_step, _, input_size, ordinal, _, satisfied, _ = values
     if row_step != step:
         raise ValueError(f"step {row_step} where step {step} is due")
+    if not -(2**63) <= input_size < 2**63:  # what the writer's column holds
+        raise ValueError(f"input_size {cells[2]!r} is outside the 64-bit integers")
     if not 0 <= ordinal < configs:
         raise ValueError(f"ordinal {ordinal} is outside the {configs} configurations")
     if satisfied not in (0, 1):
         raise ValueError(f"satisfied {cells[5]!r} is not 0 or 1")
-    return ordinal, satisfied, rew
+    return values
 
 
-def _trace_frames(path: str | Path, configs: int) -> Frames:
-    """A run-trace file's frames, a row at a time; a bad row's error starts ``<path>:<line>:``."""
-    steps = 0
+def _read_run_trace(path: str | Path, configs: int) -> EpisodeTrace:
+    """The :class:`EpisodeTrace` that :func:`write_run_trace` wrote to ``path``,
+    column for column; a bad row's error starts ``<path>:<line>:``."""
+    trace = EpisodeTrace()
+    columns = [getattr(trace, f.name) for f in fields(trace)]
     # A byte that is not UTF-8 reads as U+FFFD, which no cell parses.
     with open(path, encoding="utf-8", errors="replace") as f:
         if f.readline().rstrip("\n") != TRACE_FILE_HEADER:
             raise ValueError(f"{path}: not a run trace file")
         for lineno, line in enumerate(f, start=2):
             try:
-                frame = _trace_row(line, steps, configs)
+                _, *cells = _trace_row(line, lineno - 2, configs)  # line 2 holds step 0
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            steps += 1
-            yield frame
-    if steps == 0:
+            for column, cell in zip(columns, cells):
+                column.append(cell)
+    if not trace:
         raise ValueError(f"{path}: trace has no steps")
+    return trace
 
 
 def recompute_metrics_from_trace(
@@ -626,13 +624,13 @@ def recompute_metrics_from_trace(
     profile: ProfileTable,
     run_index: int = 0,
 ) -> RunMetrics:
-    """Rebuild a run's ``metrics.csv`` row from its trace file, streamed, never held whole.
+    """Rebuild a run's ``metrics.csv`` row from its trace file, read back as the episode held it.
 
     Used by the report verb and as a cross-check that summary metrics match
     what the traces imply.
     """
     objective_of = [profile.objective(config) for config in sorted_configs]
-    return _run_metrics(run_index, _trace_frames(path, len(sorted_configs)), objective_of)
+    return _run_metrics(run_index, _read_run_trace(path, len(sorted_configs)), objective_of)
 
 
 def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:

@@ -527,6 +527,45 @@ def test_cli_run_rejects_malformed_yaml(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config_text, where, key, first",
+    [
+        ("runs: 5\nruns: 2\n", 2, "runs", 1),
+        ("controller: {kinds: [rl2]}\nruns: 1\ncontroller: {kinds: [heuristic]}\n",
+         3, "controller", 1),
+        ("trace:\n  kinds: [fixed]\n  random_length: 50\n  kinds: [random]\n", 4, "kinds", 2),
+        ("trace: {kinds: [fixed], kinds: [variable]}\n", 1, "kinds", 1),
+        ("trace: {<<: {kinds: [fixed], kinds: [variable]}}\n", 1, "kinds", 1),
+    ],
+    ids=["top-level", "section", "inside-a-section", "flow-mapping", "merged-mapping"],
+)
+def test_load_config_refuses_a_key_written_twice(tmp_path, config_text, where, key, first):
+    # YAML keeps the last value of a repeated key without a word.
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(config_text)
+    with pytest.raises(ConfigError) as err:
+        load_config(exp)
+    assert str(err.value) == f"{exp}: line {where}: key {key!r} appears twice (first on line {first})"
+
+
+def test_load_config_lets_a_merge_key_be_overridden(tmp_path):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(
+        "trace:\n  <<: &short {kinds: [fixed], random_length: 40}\n  kinds: [random]\nruns: 1\n"
+    )
+    cfg = load_config(exp)
+    assert (cfg.trace_kinds, cfg.random_trace_length, cfg.runs) == (["random"], 40, 1)
+
+
+def test_cli_run_refuses_a_key_written_twice_before_any_campaign(tmp_path, capsys):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text("runs: 2\nruns: 3\n")
+    status = main(["run", "--config", str(exp), "--out", str(tmp_path / "out")])
+    _assert_refused_before_any_campaign(
+        tmp_path, capsys, status, f"error: {exp}: line 2: key 'runs' appears twice (first on line 1)"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [["profile", "--out", "{dir}"], ["profile", "--validate", "{dir}"],
      ["run", "--config", "{dir}"], ["run", "--out", "{file}/x", "--runs", "1",

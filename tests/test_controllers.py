@@ -348,11 +348,15 @@ def test_qtable_save_matches_reference_bytes_and_loads_bit_exact(tmp_path, table
     path = tmp_path / "q.txt"
     qtable_save(table, path)
     assert path.read_bytes() == _reference_qtable_text(table).encode("utf-8")
-    loaded = qtable_load(path)
-    assert loaded.encoder == table.encoder
-    assert np.array_equal(loaded.values.view(np.int64), table.values.view(np.int64))
-    assert np.array_equal(loaded.visit_counts, table.visit_counts)
-    assert loaded.visit_counts.dtype == np.int64
+    if table.visit_counts.sum(dtype=object) >= 2**63:  # past what total_visits holds
+        with pytest.raises(ValueError, match=r"visit counts total past 2\^63 - 1"):
+            qtable_load(path)
+    else:
+        loaded = qtable_load(path)
+        assert loaded.encoder == table.encoder
+        assert np.array_equal(loaded.values.view(np.int64), table.values.view(np.int64))
+        assert np.array_equal(loaded.visit_counts, table.visit_counts)
+        assert loaded.visit_counts.dtype == np.int64
     assert sorted(p.name for p in tmp_path.iterdir()) == ["q.txt"]  # no temp file left
 
 
@@ -464,6 +468,7 @@ def _small_saved_table(tmp_path):
         (1, "1 0 nan 2", "line 2: Q-value nan is not finite"),
         (1, "1 0 -inf 2", "line 2: Q-value -inf is not finite"),
         (2, f"4 1 0.0 {2**63}", "line 3: visit count .* 64-bit"),
+        (2, f"4 1 0.0 {2**63 - 2}", r"line 3: visit counts total past 2\^63 - 1"),
         (1, "x 0 0.5 2", "line 2: invalid literal for int"),
         (1, "1.0 0 0.5 2", "line 2: invalid literal for int"),
         (1, "6 0 0.5 2", r"line 2: cell \(6, 0\) is outside the 6x2 table"),
@@ -475,6 +480,7 @@ def _small_saved_table(tmp_path):
         "non-integer-header", "float-header", "zero-width-header", "unknown-encoder",
         "three-field-line", "five-field-line", "non-numeric-value", "non-integer-visit",
         "negative-visit", "nan-value", "infinite-value", "int64-overflow-visit",
+        "int64-overflow-visit-total",
         "non-integer-state", "float-state", "state-out-of-range", "action-out-of-range",
         "negative-action", "duplicate-cell",
     ],
@@ -486,6 +492,16 @@ def test_qtable_load_diagnostics_name_the_file(tmp_path, line, text, match):
     with pytest.raises(ValueError, match=match) as err:
         qtable_load(path)
     assert str(err.value).startswith(f"{path}: line ")
+
+
+def test_qtable_load_takes_one_cell_of_the_largest_visit_count(tmp_path):
+    # Only a total past 2^63 - 1 is refused: there QTable.total_visits wrapped
+    # to -2^63 and a learner resumed from the table raised OverflowError.
+    path, lines = _small_saved_table(tmp_path)
+    path.write_text(f"{lines[0]}\n1 0 0.5 {2**63 - 1}\n", encoding="utf-8")
+    table = qtable_load(path)
+    assert table.total_visits == 2**63 - 1
+    QLearningController(table, REQ)  # resumes its epsilon from the counts
 
 
 def test_qtable_load_refuses_an_empty_file_and_the_dense_format(tmp_path):

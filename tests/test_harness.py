@@ -638,8 +638,7 @@ def test_every_metric_sums_left_to_right(tmp_path, face_sorted_configs, face_pro
     mean_row = (tmp_path / "metrics.csv").read_text().splitlines()[-1]
     assert mean_row == "mean,1,0.0,0.0,0.0"
     trace = trace_of([(1.0, 0.5, x) for x in column])
-    frames = zip(trace.ordinal, trace.satisfied, trace.reward)
-    metrics = harness._run_metrics(0, frames, column)  # ordinal i has objective column[i]
+    metrics = harness._run_metrics(0, trace, column)  # ordinal i has objective column[i]
     assert (metrics.mean_objective, metrics.mean_reward) == (0.0, 0.0)
     write_run_trace(tmp_path / "run.csv", trace)
     redone = recompute_metrics_from_trace(tmp_path / "run.csv", face_sorted_configs, face_profile)
@@ -676,6 +675,53 @@ def test_trace_file_gives_back_the_episode_metrics(
     redone = recompute_metrics_from_trace(path, ranked, face_profile, 3)
     assert redone == episode.metrics
     assert harness.metrics_row(redone) == harness.metrics_row(episode.metrics)
+
+
+# Finite floats, the edges first: signed zeros, subnormals, the largest magnitudes.
+finite_trace_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            finite_trace_floats,
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(0, 511),
+            finite_trace_floats,
+            st.integers(0, 1),
+            finite_trace_floats,
+        ),
+        min_size=1,
+        max_size=300,
+    )
+)
+def test_a_written_run_trace_reads_back_as_the_episode_trace(tmp_path_factory, frames):
+    trace = EpisodeTrace()
+    columns = [getattr(trace, f.name) for f in fields(EpisodeTrace)]
+    for frame in frames:
+        for column, cell in zip(columns, frame):
+            column.append(cell)
+    path = tmp_path_factory.mktemp("trace") / "run.csv"
+    write_run_trace(path, trace)
+    read = harness._read_run_trace(path, 512)
+    for f in fields(EpisodeTrace):  # by bytes, so -0.0 keeps its sign
+        assert getattr(read, f.name).tobytes() == getattr(trace, f.name).tobytes(), f.name
+        assert getattr(read, f.name).typecode == getattr(trace, f.name).typecode, f.name
+
+
+def test_report_refuses_an_input_size_past_64_bits(tmp_path, face_sorted_configs, face_profile):
+    path = tmp_path / "run.csv"
+    write_run_trace(path, trace_of([(1.0, 0.5, 0.25)]))
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace(",0,0,", f",{2**63},0,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        recompute_metrics_from_trace(path, face_sorted_configs, face_profile)
+    assert str(err.value) == f"{path}:2: input_size '{2**63}' is outside the 64-bit integers"
 
 
 def test_run_episode_refuses_an_unranked_action_space(face_profile, face_requirement):
