@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, refuse_repeats
+from .config import ConfigError, ExperimentConfig, load_config, refuse_repeats
 from .harness import (
     CONTROLLER_KINDS,
     CampaignResult,
@@ -95,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _cmd_profile(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.validate is not None:
         table = load_profile(args.validate)
         try:
@@ -117,8 +116,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     refuse_repeats(args.controller or [], "--controller")
     refuse_repeats(args.trace or [], "--trace")
     specs = cfg.campaign_specs(
@@ -152,8 +150,7 @@ def _print_summary(results: list[CampaignResult]) -> None:
         )
 
 
-def _cmd_overhead(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _cmd_overhead(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     kinds = args.controller or ["heuristic", "rl2"]
     for i, spec in enumerate(cfg.campaign_specs(controllers=kinds, trace_kinds=["random"])):
         report = measure_overhead(
@@ -168,8 +165,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _cmd_report(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     ranked = rank_configurations(cfg.topology, cfg.profile, cfg.requirement.objective_sense)
     out_root = Path(args.out)
     results: list[CampaignResult] = []
@@ -185,23 +181,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+_VERBS = {
+    "profile": _cmd_profile,
+    "run": _cmd_run,
+    "overhead": _cmd_overhead,
+    "report": _cmd_report,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.verb == "profile":
-            return _cmd_profile(args)
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "overhead":
-            return _cmd_overhead(args)
-        if args.verb == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown verb {args.verb!r}")
+        return _VERBS[args.verb](args, load_config(args.config))
     except (ConfigError, ProfileError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import yaml
 
@@ -36,7 +36,7 @@ from .service_model import (
     Requirement,
     ServiceTopology,
 )
-from .simenv import TRACE_KINDS, CpuChainParams, InputTrace, make_trace
+from .simenv import TRACE_KINDS, CpuChainParams, make_trace
 
 
 class ConfigError(ValueError):
@@ -86,14 +86,6 @@ class ExperimentConfig:
     base_seed: int
     out_dir: Path
     random_trace_length: int
-    full_day_schedule: dict[int, int] | None = None
-
-    def trace(self, kind: str) -> InputTrace:
-        return make_trace(
-            kind,
-            length=self.random_trace_length,
-            schedule=self.full_day_schedule,
-        )
 
     def campaign_specs(
         self,
@@ -112,7 +104,7 @@ class ExperimentConfig:
         out_root = Path(out_dir) if out_dir is not None else self.out_dir
         specs = []
         for trace_kind in trace_kinds:
-            trace = self.trace(trace_kind)
+            trace = make_trace(trace_kind, length=self.random_trace_length)
             for controller in controllers:
                 specs.append(
                     ExperimentSpec(
@@ -154,9 +146,11 @@ def _list_node(node: Any, where: str) -> list | tuple:
     return node
 
 
-def _params_node(node: Any, params_cls: type, where: str) -> Mapping[str, Any]:
-    """A mapping whose keys are all fields of the dataclass ``params_cls``."""
-    return _known_node(node, where, [f.name for f in fields(params_cls)])
+def _params(node: Any, cls: type, where: str, value: Callable[[Any, str], Any]):
+    """The dataclass ``cls`` from a mapping whose keys are all its fields, each
+    value read by ``value(v, "<where>.<key>")``."""
+    node = _known_node(node, where, [f.name for f in fields(cls)])
+    return cls(**{k: value(v, f"{where}.{k}") for k, v in node.items()})
 
 
 def _parse_topology(node: Any) -> ServiceTopology:
@@ -257,6 +251,8 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             mark = getattr(exc, "problem_mark", None)
             detail = f"line {mark.line + 1}: {exc.problem}" if mark else " ".join(str(exc).split())
             raise ConfigError(f"{path}: not valid YAML: {detail}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not a UTF-8 text file") from None
         except ConfigError as exc:  # a key written twice
             raise ConfigError(f"{path}: {exc}") from None
         raw = {} if loaded is None else loaded
@@ -358,25 +354,17 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         if c not in CONTROLLER_KINDS:
             raise ConfigError(f"unknown controller {c!r}; pick from {CONTROLLER_KINDS}")
     refuse_repeats(controllers, "controller.kinds")
-    heuristic_node = _params_node(
-        controller_node.get("heuristic", {}), HeuristicParams, "controller.heuristic"
+    heuristic_params = _params(
+        controller_node.get("heuristic", {}), HeuristicParams, "controller.heuristic", _integer
     )
-    heuristic_params = HeuristicParams(
-        **{k: _integer(v, f"controller.heuristic.{k}") for k, v in heuristic_node.items()}
-    )
-    learning_node = _params_node(
-        controller_node.get("learning", {}), LearningParams, "controller.learning"
-    )
-    learning_params = LearningParams(
-        **{k: _number(v, f"controller.learning.{k}") for k, v in learning_node.items()}
+    learning_params = _params(
+        controller_node.get("learning", {}), LearningParams, "controller.learning", _number
     )
     action_count: int | str = controller_node.get("actions", 16)
     if action_count != "all" and _integer(action_count, "controller.actions") < 1:
         raise ConfigError("controller.actions must be >= 1 or 'all', got 0")
 
-    trace_node = _known_node(
-        raw.get("trace", {}), "trace", ("kinds", "random_length", "full_day_schedule")
-    )
+    trace_node = _known_node(raw.get("trace", {}), "trace", ("kinds", "random_length"))
     trace_kinds = [
         str(t).replace("-", "_")
         for t in _list_node(trace_node.get("kinds", ["variable"]), "trace.kinds")
@@ -387,11 +375,6 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         if t not in TRACE_KINDS:
             raise ConfigError(f"unknown trace kind {t!r}; pick from {TRACE_KINDS}")
     refuse_repeats(trace_kinds, "trace.kinds")
-    where = "trace.full_day_schedule"
-    schedule_node = _known_node(trace_node.get("full_day_schedule", {}), where)
-    schedule = {_integer(h, where): _integer(f, where) for h, f in schedule_node.items()} or None
-    if schedule:  # refused now, whether or not a full_day campaign runs
-        make_trace("full_day", schedule=schedule)
 
     # Refused when the config loads, whatever trace kinds run and whichever verb reads it.
     random_length = _integer(trace_node.get("random_length", 1000), "trace.random_length")
@@ -401,16 +384,13 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     if runs < 1:
         raise ConfigError("runs must be >= 1, got 0")
 
-    cpu_node = _params_node(raw.get("cpu", {}), CpuChainParams, "cpu")
-    cpu_params = CpuChainParams(**{k: _number(v, f"cpu.{k}") for k, v in cpu_node.items()})
-
     return ExperimentConfig(
         topology=topology,
         requirement=requirement,
         profile=profile,
         controllers=controllers,
         trace_kinds=trace_kinds,
-        cpu_params=cpu_params,
+        cpu_params=_params(raw.get("cpu", {}), CpuChainParams, "cpu", _number),
         heuristic_params=heuristic_params,
         learning_params=learning_params,
         action_count=action_count,
@@ -418,5 +398,4 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
         out_dir=_path(raw.get("out_dir", "results"), "out_dir", base_dir),
         random_trace_length=random_length,
-        full_day_schedule=schedule,
     )

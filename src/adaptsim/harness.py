@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import fcntl
 import math
+import numbers
 import os
 import time
 from array import array
@@ -175,6 +176,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown controller {self.controller!r}; pick from {CONTROLLER_KINDS}"
             )
+        for name in ("runs", "base_seed"):  # a numpy integer is read as an int; a bool is refused
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.base_seed < 0:
@@ -659,6 +665,8 @@ def _run_trace_paths(campaign_dir: Path) -> list[tuple[Path, str]]:
         raise ValueError(
             f"{metrics} is missing: the campaign did not finish or is still running; run it again"
         ) from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{metrics}: not a UTF-8 text file") from None
     listed = [row for row in rows if not row.startswith("mean,")]
     if len(listed) != len(paths):
         raise ValueError(

@@ -240,7 +240,10 @@ def load_profile(path: str | Path) -> ProfileTable:
     """Read a profile file.  Every refusal starts with ``<path>:``, and one
     about a single row with ``<path>:<line>:``."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ProfileError(f"{path}: not a UTF-8 text file") from None
     numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not numbered or numbered[0][1].strip() != PROFILE_HEADER:
         raise ProfileError(f"{path}: missing or malformed header (expected {PROFILE_HEADER!r})")

@@ -194,17 +194,12 @@ class InputTrace:
         return tuple(DEFAULT_INPUT_SIZES[i] for i in sizes)
 
 
-def make_trace(
-    kind: str,
-    *,
-    length: int | None = None,
-    schedule: Mapping[int, int] | None = None,
-) -> InputTrace:
+def make_trace(kind: str, *, length: int | None = None) -> InputTrace:
     """Build one of the standard input traces.
 
     fixed     1000 frames of 48 faces.
     variable  11 blocks of 100 frames: 6, 12, 24, 48, 96, 192, 96, 48, 24, 12, 6.
-    full_day  86400 frames (one per second) following an hourly schedule.
+    full_day  86400 frames (one per second) following FULL_DAY_SCHEDULE.
     random    ``length`` frames (default 1000) over DEFAULT_INPUT_SIZES:
               each frame keeps the previous size with probability 0.9,
               otherwise switches to a different one.
@@ -217,10 +212,7 @@ def make_trace(
             sizes.extend([faces] * VARIABLE_BLOCK_STEPS)
         return InputTrace(kind=kind, sizes=tuple(sizes))
     if kind == "full_day":
-        table = dict(FULL_DAY_SCHEDULE if schedule is None else schedule)
-        if sorted(table) != list(range(24)):
-            raise ValueError("full_day schedule must map every hour 0..23")
-        sizes = [table[second // 3600] for second in range(FULL_DAY_STEPS)]
+        sizes = [FULL_DAY_SCHEDULE[second // 3600] for second in range(FULL_DAY_STEPS)]
         return InputTrace(kind=kind, sizes=tuple(sizes))
     if kind == "random":
         return InputTrace(kind=kind, length=1000 if length is None else length)
@@ -265,6 +257,13 @@ class Environment:
         self._target = requirement.latency_target
         self.trace = trace
         self.cpu = cpu_source if cpu_source is not None else CpuChain()
+        floor = self.cpu.params.min_avail
+        worst = max(profile.latency_at(s).max().item() for s in profile.input_sizes)
+        if not math.isfinite(trace.length * worst / floor / self._target):  # bounds a run's sums
+            raise ValueError(
+                f"cpu min_avail {floor!r} is too small for latency target {self._target!r}: "
+                f"{trace.length} frames x {worst!r} s base latency / min_avail / target overflows"
+            )
         self._context = (array("d"), array("q"))  # frame t's availability and input size
         self._cpu_after = 0.0  # availability after the last frame
         self._objective: list[float] = []  # by row

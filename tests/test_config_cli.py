@@ -1,4 +1,5 @@
 import filecmp
+import math
 import re
 from pathlib import Path
 
@@ -608,6 +609,70 @@ def test_cli_run_rejects_zero_random_trace_length(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "{bad}", "--out", "{out}"],
+     ["profile", "--validate", "{bad}"],
+     ["run", "--config", "{profile_config}", "--out", "{out}"]],
+    ids=["config", "profile", "profile-source-file"],
+)
+def test_cli_refuses_a_file_that_is_not_utf8_with_its_path(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"runs: 2\n\xff\n")
+    profile_config = tmp_path / "exp.yaml"
+    profile_config.write_text(f"profile: {{source: file, path: {bad}}}\n")
+    argv = [a.format(bad=bad, out=tmp_path / "out", profile_config=profile_config) for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {bad}: not a UTF-8 text file\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_report_refuses_a_metrics_file_that_is_not_utf8(tmp_path, capsys):
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(MINIMAL_TOPOLOGY)
+    out_root = tmp_path / "results"
+    assert main(["run", "--config", str(exp), "--out", str(out_root)]) == 0
+    metrics = out_root / "heuristic_random" / "metrics.csv"
+    metrics.write_bytes(metrics.read_bytes() + b"\xff\n")
+    summary = (out_root / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--config", str(exp), "--out", str(out_root)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {metrics}: not a UTF-8 text file\n"
+    assert out == ""
+    assert (out_root / "summary.csv").read_bytes() == summary
+
+
+@pytest.mark.parametrize(
+    "section",
+    ["cpu: {min_avail: 1.0e-320, change_prob: 0.5, delta_mean: 0.5}\n",
+     "requirement: {constraints: [{metric: latency, target: 1.0e-320}]}\n"],
+    ids=["cpu-floor", "latency-target"],
+)
+def test_cli_run_refuses_a_context_under_which_latency_overflows(tmp_path, capsys, section):
+    status = _run_config(tmp_path, "runs: 1\ncontroller: {kinds: [static-hp]}\n" + section)
+    out, err = capsys.readouterr()
+    assert status == 1
+    assert err.startswith("error: cpu min_avail ") and err.count("\n") == 1, err
+    assert "is too small for latency target" in err and "overflows" in err, err
+    assert not (tmp_path / "out" / "static-hp_variable").exists()
+
+
+def test_cli_run_takes_a_cpu_floor_whose_latency_stays_finite(tmp_path, capsys):
+    status = _run_config(
+        tmp_path,
+        "runs: 1\ncontroller: {kinds: [static-hp]}\ntrace: {kinds: [fixed]}\n"
+        "cpu: {min_avail: 1.0e-300, change_prob: 0.5, delta_mean: 0.5}\n",
+    )
+    assert status == 0
+    rows = (tmp_path / "out" / "static-hp_fixed" / "metrics.csv").read_text().splitlines()
+    values = [float(cell) for row in rows[1:] for cell in row.split(",")[2:]]
+    assert all(math.isfinite(v) for v in values) and min(values) < -1e290, rows
+    assert main(["report", "--out", str(tmp_path / "out")]) == 0
+
+
 def _run_config(tmp_path, config_text, *extra):
     exp = tmp_path / "exp.yaml"
     exp.write_text(config_text)
@@ -706,13 +771,9 @@ def test_cli_run_rejects_bad_base_seed_before_any_campaign(
          "profile.input_sizes"),
         (MINIMAL_TOPOLOGY.replace("upgrade_after: 4", "upgrade_after: 4.7"),
          "controller.heuristic.upgrade_after"),
-        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full_day]\n"
-                                  "  full_day_schedule: {0: 6.5}"),
-         "trace.full_day_schedule"),
     ],
     ids=["runs-fraction", "runs-bool", "actions-fraction", "actions-text", "random-length-text",
-         "input-size-fraction", "heuristic-fraction",
-         "schedule-fraction"],
+         "input-size-fraction", "heuristic-fraction"],
 )
 def test_cli_run_rejects_non_integer_field_before_any_campaign(
     tmp_path, capsys, config_text, key
@@ -775,11 +836,9 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
         (MINIMAL_TOPOLOGY.replace("input_sizes: [1, 4, 16]", "input_sizes: 5"),
          "profile.input_sizes must be a list"),
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full_day]\n"
-                                  "  full_day_schedule: [1, 2]"),
-         "trace.full_day_schedule must be a mapping"),
-        (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [random]\n"
                                   "  full_day_schedule: {0: 6}"),
-         "full_day schedule must map every hour 0..23"),
+         "error: unknown key 'full_day_schedule' under trace; "
+         "expected one of kinds, random_length\n"),
         (MINIMAL_TOPOLOGY.replace('values: ["150", "300"]', "values: 3"),
          "topology.operators[0].parameters[0].values must be a list"),
         (MINIMAL_TOPOLOGY.replace('latency_weights:\n      dpi: {"150": 0.0, "300": 0.4}\n'
@@ -816,7 +875,7 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [full-day, random, full_day]"),
          "trace.kinds names 'full_day' more than once"),
     ],
-    ids=["input-sizes-scalar", "schedule-list", "schedule-hours-unused-kind", "values-scalar", "latency-weights-list",
+    ids=["input-sizes-scalar", "schedule-unknown-key", "values-scalar", "latency-weights-list",
          "weight-row-scalar", "controller-kinds-string", "trace-kinds-string",
          "controller-kinds-empty", "trace-kinds-empty", "runs-zero",
          "random-length-zero-unused-kind",

@@ -513,6 +513,9 @@ def test_qtable_load_refuses_an_empty_file_and_the_dense_format(tmp_path):
     path.write_text("v1 3 1\n0.0\n0.5\n0.0\n0\n2\n0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: want <state>"):
         qtable_load(path)
+    path.write_bytes(b"v1 3 1\n\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a UTF-8 text file$"):
+        qtable_load(path)
 
 
 def test_qtable_load_reads_hand_spelled_zeros_and_negative_zero(tmp_path):

@@ -443,6 +443,34 @@ def test_spec_validation(tmp_path, face_profile, face_topology, face_requirement
         spec_for(tmp_path, "rl1", face_profile, face_topology, face_requirement, runs=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("runs", 2.5), ("runs", True), ("runs", "2"), ("base_seed", 1.5), ("base_seed", True),
+     ("base_seed", "11")],
+)
+def test_spec_refuses_a_run_count_or_seed_that_is_not_an_integer(
+    tmp_path, face_profile, face_topology, face_requirement, field, value
+):
+    spec = spec_for(
+        tmp_path, "rl1", face_profile, face_topology, face_requirement,
+        trace=make_trace("random", length=40), runs=2,
+    )
+    run_experiment(spec)
+    records = {p: p.read_bytes() for p in spec.out_dir.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        run_experiment(replace(spec, **{field: value}))
+    assert {p: p.read_bytes() for p in spec.out_dir.rglob("*") if p.is_file()} == records
+
+
+def test_spec_reads_numpy_integers_as_ints(tmp_path, face_profile, face_topology, face_requirement):
+    spec = spec_for(
+        tmp_path, "heuristic", face_profile, face_topology, face_requirement,
+        trace=make_trace("random", length=40), runs=np.int64(2), base_seed=np.uint8(11),
+    )
+    assert (type(spec.runs), type(spec.base_seed)) == (int, int)
+    assert run_experiment(spec) == run_experiment(replace(spec, runs=2, base_seed=11))
+
+
 def test_measure_overhead_report(tmp_path, face_profile, face_topology, face_requirement):
     spec = spec_for(tmp_path, "heuristic", face_profile, face_topology, face_requirement)
     report = measure_overhead(spec, steps=2000, warmup=200)

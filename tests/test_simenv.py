@@ -150,11 +150,6 @@ def test_full_day_trace_layout():
         assert trace.sizes[hour * 3600 + 3599] == faces
 
 
-def test_full_day_schedule_override_must_cover_all_hours():
-    with pytest.raises(ValueError, match="every hour"):
-        make_trace("full_day", schedule={0: 6})
-
-
 def test_random_trace_change_frequency():
     trace = make_trace("random", length=10**5)
     sizes = trace.materialize(np.random.default_rng(0))
@@ -231,6 +226,22 @@ def test_low_cpu_violates():
     out = env.step(0)
     assert out.latency == pytest.approx(2.0)
     assert out.satisfied is False
+
+
+@pytest.mark.parametrize(
+    "base_latency, min_avail, target, frames",
+    [(2.0, 1e-320, 1.0, 4), (2.0, 0.3, 1e-320, 4), (1e306, 0.3, 1.0, 1000)],
+    ids=["cpu-floor", "latency-target", "trace-length"],
+)
+def test_environment_refuses_a_context_under_which_latency_overflows(
+    base_latency, min_avail, target, frames
+):
+    profile = flat_profile(base_latency)
+    requirement = Requirement("precision", (ConstraintSpec("latency", target),))
+    cpu = CpuChain(CpuChainParams(min_avail=min_avail))
+    message = f"cpu min_avail {min_avail!r} is too small for latency target {target!r}: "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Environment(profile, requirement, custom_trace([6] * frames), cpu)
 
 
 @pytest.mark.parametrize("row", [-1, 1])
