@@ -478,7 +478,9 @@ class QLearningController:
     def decide(self, obs: ControllerObservation) -> int:
         state = self._learn(obs)
         action = select_action(self.table, state, self._epsilon, self._rng)
-        self._epsilon = max(self.params.epsilon_min, self._epsilon * self.params.epsilon_decay)
+        # max(epsilon_min, decayed) without the builtin call: the same float, as both are finite.
+        decayed, least = self._epsilon * self.params.epsilon_decay, self.params.epsilon_min
+        self._epsilon = decayed if decayed > least else least
         self._prev = (state, action)
         return action
 

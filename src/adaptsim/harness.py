@@ -50,7 +50,15 @@ from .service_model import (
     enumerate_configurations,
     sort_by_objective,
 )
-from .simenv import TRACE_KINDS, CpuChain, CpuChainParams, Environment, InputTrace, make_trace
+from .simenv import (
+    TRACE_KINDS,
+    CpuChain,
+    CpuChainParams,
+    Environment,
+    InputTrace,
+    make_trace,
+    refuse_latency_overflow,
+)
 
 CONTROLLER_KINDS = ("static-hp", "static-fast", "heuristic", "rl1", "rl2")
 RL_ENCODERS = {"rl1": "v1", "rl2": "v2"}  # learner kind -> state encoder
@@ -98,6 +106,12 @@ class EpisodeTrace:
     latency: array = field(default_factory=partial(array, "d"))
     satisfied: array = field(default_factory=partial(array, "b"))  # 0 or 1
     reward: array = field(default_factory=partial(array, "d"))
+
+    def __post_init__(self) -> None:
+        lengths = {f.name: len(getattr(self, f.name)) for f in fields(self)}
+        if len(set(lengths.values())) > 1:
+            named = ", ".join(f"{name} {n}" for name, n in lengths.items())
+            raise ValueError(f"an episode trace's columns differ in length: {named}")
 
     @classmethod
     def over(cls, cpu: array, input_size: array) -> EpisodeTrace:
@@ -186,6 +200,9 @@ class ExperimentSpec:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed}")
         self.out_dir = Path(self.out_dir)
+        # Environment refuses it too; here it is refused before any campaign runs.
+        target, floor = self.requirement.latency_target, self.cpu_params.min_avail
+        refuse_latency_overflow(self.profile, target, self.trace.length, floor)
 
     @property
     def qtable_path(self) -> Path:
@@ -281,13 +298,10 @@ def run_episode(
         if not 0 <= action_index < count:
             raise IndexError(f"decide() returned action {action_index} of {count} actions")
         latency, objective, satisfied, observation, _ = env_step(rows[action_index])
-        # Positional construction in field order: keywords cost more per step.
-        obs = ControllerObservation(
-            observation.cpu_availability,
-            action_index,
-            latency / target,
-            satisfied,
-            objective,
+        # tuple.__new__ in field order skips the named tuple's Python-level __new__.
+        obs = tuple.__new__(
+            ControllerObservation,
+            (observation.cpu_availability, action_index, latency / target, satisfied, objective),
         )
         ordinal_col[t] = ordinals[action_index]
         latency_col[t] = latency
@@ -327,40 +341,32 @@ def _run_metrics(
     )
 
 
-_SPELLINGS_CAP = 4096  # entries; the cache is emptied when it reaches this
+_BLOCK_ROWS = 1024  # rows a run trace is formatted at a time: the writer stays under 1 MB
 
 
-class _Spellings(dict):
-    """float -> ``repr(float(x))``, for at most ``_SPELLINGS_CAP`` values at a time.
-
-    Neither zero (0.0 and -0.0 are equal keys but spell differently) nor NaN
-    (never equal to itself, so never found again) is stored.  Emptying the
-    cache when full keeps the writer's memory constant, whatever the trace.
-    """
-
-    def __missing__(self, x: float) -> str:
-        spelled = repr(float(x))
-        if x and x == x:
-            if len(self) >= _SPELLINGS_CAP:
-                self.clear()
-            self[x] = spelled
-        return spelled
+def _spelled(values: np.ndarray) -> list[str]:
+    """``values`` as a run trace spells them, ``repr`` of a float and ``str`` of an
+    integer, each distinct value spelled once."""
+    if values.dtype.kind == "f":  # by bits: 0.0 and -0.0 keep their own spellings
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        spellings = list(map(repr, bits.view(np.float64).tolist()))
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        spellings = list(map(str, distinct.tolist()))
+    return np.array(spellings, dtype=object)[inverse].tolist()
 
 
 def write_run_trace(path: Path, trace: EpisodeTrace) -> None:
-    """Write ``trace`` as a run-trace CSV, one row per frame as it is formatted."""
-    spell = _Spellings()
-    columns = zip(
-        trace.cpu, trace.input_size, trace.ordinal, trace.latency, trace.satisfied, trace.reward
-    )
-    rows = (
-        f"{step},{spell[cpu]},{input_size},{ordinal},"
-        f"{spell[latency]},{satisfied},{spell[rew]}\n"
-        for step, (cpu, input_size, ordinal, latency, satisfied, rew) in enumerate(columns)
-    )
+    """Write ``trace`` as a run-trace CSV, ``_BLOCK_ROWS`` rows at a time, each
+    block a column at a time."""
+    arrays = (getattr(trace, f.name) for f in fields(trace))
+    columns = [np.frombuffer(column, dtype=column.typecode) for column in arrays]
     with open(path, "w", encoding="utf-8") as f:
         f.write(TRACE_FILE_HEADER + "\n")
-        f.writelines(rows)
+        for start in range(0, len(trace), _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, len(trace))
+            cells = [_spelled(column[start:stop]) for column in columns]
+            f.write("\n".join(map(",".join, zip(map(str, range(start, stop)), *cells))) + "\n")
 
 
 @contextmanager

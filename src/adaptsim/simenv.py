@@ -224,6 +224,19 @@ def custom_trace(sizes: Sequence[int]) -> InputTrace:
     return InputTrace(kind="custom", sizes=tuple(sizes))
 
 
+def refuse_latency_overflow(
+    profile: ProfileTable, target: float, frames: int, floor: float
+) -> None:
+    """Refuse a CPU ``floor`` or latency ``target`` under which ``frames`` frames of the
+    profile's worst latency overflow: this bounds every sum a run takes."""
+    worst = max(profile.latency_at(s).max().item() for s in profile.input_sizes)
+    if not math.isfinite(frames * worst / floor / target):
+        raise ValueError(
+            f"cpu min_avail {floor!r} is too small for latency target {target!r}: "
+            f"{frames} frames x {worst!r} s base latency / min_avail / target overflows"
+        )
+
+
 class EnvState(NamedTuple):
     """Observation: the context the next frame runs under."""
 
@@ -257,13 +270,7 @@ class Environment:
         self._target = requirement.latency_target
         self.trace = trace
         self.cpu = cpu_source if cpu_source is not None else CpuChain()
-        floor = self.cpu.params.min_avail
-        worst = max(profile.latency_at(s).max().item() for s in profile.input_sizes)
-        if not math.isfinite(trace.length * worst / floor / self._target):  # bounds a run's sums
-            raise ValueError(
-                f"cpu min_avail {floor!r} is too small for latency target {self._target!r}: "
-                f"{trace.length} frames x {worst!r} s base latency / min_avail / target overflows"
-            )
+        refuse_latency_overflow(profile, self._target, trace.length, self.cpu.params.min_avail)
         self._context = (array("d"), array("q"))  # frame t's availability and input size
         self._cpu_after = 0.0  # availability after the last frame
         self._objective: list[float] = []  # by row
@@ -307,8 +314,11 @@ class Environment:
         t += 1
         self._step = t
         done = t >= len(sizes)
-        # Positional construction: keywords cost more than the step's arithmetic.
-        observation = EnvState(self._cpu_after, input_size) if done else EnvState(cpu[t], sizes[t])
-        return StepOutcome(
-            latency, self._objective[row], latency <= self._target, observation, done
+        # tuple.__new__ in field order skips the named tuples' Python-level __new__, about
+        # half of what building the two records cost per frame.
+        observation = tuple.__new__(
+            EnvState, (self._cpu_after, input_size) if done else (cpu[t], sizes[t])
+        )
+        return tuple.__new__(
+            StepOutcome, (latency, self._objective[row], latency <= self._target, observation, done)
         )

@@ -660,6 +660,23 @@ def test_cli_run_refuses_a_context_under_which_latency_overflows(tmp_path, capsy
     assert not (tmp_path / "out" / "static-hp_variable").exists()
 
 
+def test_cli_run_refuses_a_later_campaigns_overflowing_floor_before_any_campaign(
+    tmp_path, capsys
+):
+    # 1e-305 overflows on the 86 400 full_day frames, not on the 1 100 variable ones
+    status = _run_config(
+        tmp_path,
+        "runs: 1\ncontroller: {kinds: [static-hp]}\ntrace: {kinds: [variable, full_day]}\n"
+        "cpu: {min_avail: 1.0e-305}\n",
+    )
+    out, err = capsys.readouterr()
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: cpu min_avail 1e-305 is too small for latency target 1.0: "
+                          "86400 frames x ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_takes_a_cpu_floor_whose_latency_stays_finite(tmp_path, capsys):
     status = _run_config(
         tmp_path,

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from adaptsim import harness
 from adaptsim.controllers import (
+    ControllerObservation,
     QTable,
     StaticController,
     make_action_space,
@@ -554,7 +555,10 @@ def test_write_run_trace_spells_every_float_as_its_repr(tmp_path_factory, cells)
     assert path.read_bytes() == reference_trace_text(cells).encode("utf-8")
 
 
-@pytest.mark.parametrize("frames", [0, 1, 5000])
+@pytest.mark.parametrize(
+    "frames",
+    [0, 1, harness._BLOCK_ROWS - 1, harness._BLOCK_ROWS, harness._BLOCK_ROWS + 1, 5000],
+)
 def test_write_run_trace_matches_reference_at_any_length(tmp_path, frames):
     rng = np.random.default_rng(frames)
     special = [0.0, -0.0, 5e-324, float("inf"), float("-inf"), float("nan")]
@@ -569,6 +573,55 @@ def test_write_run_trace_matches_reference_at_any_length(tmp_path, frames):
     path = tmp_path / "run.csv"
     write_run_trace(path, trace_of(cells))
     assert path.read_bytes() == reference_trace_text(cells).encode("utf-8")
+
+
+def test_episode_trace_refuses_columns_of_unequal_length():
+    columns = {f.name: f.default_factory() for f in fields(EpisodeTrace)}
+    for name, column in columns.items():
+        column.extend([1] * (2 if name == "reward" else 3))
+    with pytest.raises(ValueError) as err:
+        EpisodeTrace(**columns)
+    assert str(err.value) == (
+        "an episode trace's columns differ in length: "
+        "cpu 3, input_size 3, ordinal 3, latency 3, satisfied 3, reward 2"
+    )
+    assert len(EpisodeTrace()) == 0
+    assert len(EpisodeTrace.over(columns["cpu"], columns["input_size"])) == 3
+
+
+def test_run_episode_observes_each_frame_as_a_controller_observation(
+    face_profile, face_requirement, face_sorted_configs
+):
+    class Recording(StaticController):
+        def __init__(self):
+            super().__init__(2)
+            self.seen = []
+
+        def decide(self, obs):
+            self.seen.append(obs)
+            return super().decide(obs)
+
+        def finish(self, obs):
+            self.seen.append(obs)
+
+    env = Environment(face_profile, face_requirement, make_trace("random", length=50))
+    outcomes = []
+    step = env.step
+    env.step = lambda row: outcomes.append(step(row)) or outcomes[-1]
+    controller = Recording()
+    run_episode(env, controller, make_action_space(face_sorted_configs, 16), 5)
+    assert len(controller.seen) == len(outcomes) + 1 == 51  # finish() sees the last
+    assert all(type(obs) is ControllerObservation for obs in controller.seen)
+    assert controller.seen[0] == ControllerObservation(env.context[0][0])
+    target = face_requirement.latency_target
+    for obs, out in zip(controller.seen[1:], outcomes):
+        assert obs._asdict() == dict(
+            cpu_availability=out.observation.cpu_availability,
+            last_config_ordinal=2,
+            last_latency_ratio=out.latency / target,
+            last_satisfied=out.satisfied,
+            last_objective=out.objective,
+        )
 
 
 def test_episode_columns_hold_less_than_records_did(face_profile, face_requirement, tmp_path):

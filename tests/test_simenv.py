@@ -14,10 +14,12 @@ from adaptsim.simenv import (
     FULL_DAY_SCHEDULE,
     CpuChain,
     CpuChainParams,
+    EnvState,
     Environment,
     EpisodeFinished,
     InputTrace,
     ScriptedCpu,
+    StepOutcome,
     custom_trace,
     make_trace,
 )
@@ -264,6 +266,27 @@ def test_step_charges_the_interpolated_and_clamped_latency():
             out = env.step(row)
             assert out.latency == reference_lookup(sizes, latencies[row], size) / cpu
             assert out.objective == profile.objectives[row]
+
+
+def test_step_returns_its_named_record_types():
+    # frames of 6 and 48 faces at availability 0.9 and 0.6; 0.45 after the last
+    env = Environment(flat_profile(0.55), LATENCY_REQ, custom_trace([6, 48]),
+                      cpu_source=ScriptedCpu([0.9, 0.6, 0.45]))
+    env.reset(0)
+    for latency, cpu_after, size_after, done in ((0.55 / 0.9, 0.6, 48, False),
+                                                 (0.55 / 0.6, 0.45, 48, True)):
+        out = env.step(0)
+        expected = StepOutcome(
+            latency=latency,
+            objective=0.5,
+            satisfied=latency <= 1.0,
+            observation=EnvState(cpu_availability=cpu_after, input_size=size_after),
+            done=done,
+        )
+        assert type(out) is StepOutcome and type(out.observation) is EnvState
+        assert out == expected
+        assert out._asdict() == expected._asdict()
+        assert out.observation._asdict() == expected.observation._asdict()
 
 
 def test_reset_determinism_bit_for_bit(face_profile, face_requirement, face_sorted_configs):
