@@ -19,12 +19,13 @@ from .harness import (
     CONTROLLER_KINDS,
     CampaignResult,
     emit_report,
+    in_summary_order,
     measure_overhead,
     rank_configurations,
     read_campaign,
     run_experiment,
 )
-from .profiling import ProfileError, load_profile, save_profile, validate_profile_coverage
+from .profiling import ProfileError, load_profile, save_profile
 from .simenv import TRACE_KINDS
 
 
@@ -97,22 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_profile(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.validate is not None:
-        table = load_profile(args.validate)
-        try:
-            validate_profile_coverage(table, cfg.topology)
-        except ProfileError as exc:
-            raise ProfileError(f"{args.validate}: {exc}") from None
-        print(
-            f"{args.validate}: OK ({len(table.configurations())} configurations x "
-            f"{len(table.input_sizes)} input sizes)"
-        )
-        return 0
-    out = args.out or Path("profile.csv")
-    save_profile(cfg.profile, out)
-    print(
-        f"wrote {out} ({len(cfg.profile.configurations())} configurations x "
-        f"{len(cfg.profile.input_sizes)} input sizes)"
-    )
+        table, done = load_profile(args.validate, cfg.topology), f"{args.validate}: OK"
+    else:
+        table, out = cfg.profile, args.out or Path("profile.csv")
+        save_profile(table, out)
+        done = f"wrote {out}"
+    grid = f"{len(table.configurations())} configurations x {len(table.input_sizes)} input sizes"
+    print(f"{done} ({grid})")
     return 0
 
 
@@ -132,22 +124,23 @@ def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     for spec in specs:
         print(f"running {spec.controller} on {spec.trace.kind} ({spec.runs} runs) ...")
         results.append(run_experiment(spec))
+    return _report(results, out_root)
+
+
+def _report(results: list[CampaignResult], out_root: Path) -> int:
+    """Write the summary files under ``out_root`` and print their table in ``summary.csv``'s
+    order: ``run`` and ``report`` of one campaign set print the same lines."""
     paths = emit_report(results, out_root)
     print(f"summary: {paths['summary']}")
-    _print_summary(results)
-    return 0
-
-
-def _print_summary(results: list[CampaignResult]) -> None:
-    header = f"{'controller':>12} {'trace':>10} {'objective':>10} {'sat %':>8} {'reward':>8}"
-    print(header)
-    for r in results:
+    print(f"{'controller':>12} {'trace':>10} {'objective':>10} {'sat %':>8} {'reward':>8}")
+    for r in in_summary_order(results):
         print(
             f"{r.controller:>12} {r.trace_kind:>10} "
             f"{r.mean_over_runs('mean_objective'):>10.4f} "
             f"{r.mean_over_runs('latency_satisfaction_pct'):>8.2f} "
             f"{r.mean_over_runs('mean_reward'):>8.3f}"
         )
+    return 0
 
 
 def _cmd_overhead(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
@@ -175,10 +168,7 @@ def _cmd_report(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             results.append(result)
     if not results:
         raise ValueError(f"no campaign directories with run traces under {out_root}")
-    paths = emit_report(results, out_root)
-    print(f"summary: {paths['summary']}")
-    _print_summary(results)
-    return 0
+    return _report(results, out_root)
 
 
 _VERBS = {

@@ -22,12 +22,10 @@ from . import defaults
 from .controllers import HeuristicParams, LearningParams
 from .harness import CONTROLLER_KINDS, ExperimentSpec, campaign_dir_name
 from .profiling import (
-    ProfileError,
     ProfileTable,
     SyntheticProfileModel,
     generate_synthetic_profile,
     load_profile,
-    validate_profile_coverage,
 )
 from .service_model import (
     ConstraintSpec,
@@ -332,12 +330,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         _known_node(profile_node, "profile with source 'file'", ("source", "path"))
         if "path" not in profile_node:
             raise ConfigError("profile.source is 'file' but profile.path is missing")
-        profile_path = _path(profile_node["path"], "profile.path", base_dir)
-        profile = load_profile(profile_path)
-        try:
-            validate_profile_coverage(profile, topology)
-        except ProfileError as exc:
-            raise ProfileError(f"{profile_path}: {exc}") from None
+        profile = load_profile(_path(profile_node["path"], "profile.path", base_dir), topology)
     else:
         raise ConfigError(f"unknown profile source {source!r}")
 

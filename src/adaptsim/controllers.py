@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .service_model import Configuration, Requirement
+from .service_model import Configuration, Requirement, is_count
 
 _LATENCY_BINS = 3
 _CPU_BINS = 3
@@ -74,8 +75,8 @@ class HeuristicParams:
     upgrade_after: int = 10
 
     def __post_init__(self) -> None:
-        if self.upgrade_after < 1:
-            raise ValueError("upgrade_after must be >= 1")
+        if not is_count(self.upgrade_after, 1):
+            raise ValueError(f"upgrade_after must be an integer >= 1, got {self.upgrade_after!r}")
 
 
 def latency_bin(ratio: float | None) -> int:
@@ -275,22 +276,32 @@ def qtable_save(table: QTable, path: str | Path) -> None:
         raise
 
 
-def qtable_load(path: str | Path) -> QTable:
-    """Read a :func:`qtable_save` file; fields split as ``str.split`` has it.
-    Every error names ``path`` and the line."""
+def qtable_load(
+    path: str | Path, encoder: str | None = None, action_count: int | None = None
+) -> QTable:
+    """Read a :func:`qtable_save` file; fields split as ``str.split`` has it.  Every error
+    names ``path`` and the line; given ``encoder`` and ``action_count``, a header declaring
+    another table raises QTableMismatchError before any cell is allocated or read."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not a UTF-8 text file") from None
     head = lines[0].split()
     try:
-        encoder, rows, cols = head[0], int(head[1]), int(head[2])
+        declared, rows, cols = head[0], int(head[1]), int(head[2])
         if len(head) != 3 or rows < 1 or cols < 1:
             raise ValueError
     except (IndexError, ValueError):
         raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}") from None
-    if encoder not in ENCODERS:
-        raise ValueError(f"{path}: line 1: unknown state encoder {encoder!r}")
+    if declared not in ENCODERS:
+        raise ValueError(f"{path}: line 1: unknown state encoder {declared!r}")
+    if encoder is not None:
+        states = state_count(encoder, action_count)
+        if (declared, rows, cols) != (encoder, states, action_count):
+            raise QTableMismatchError(
+                f"{path} holds a {declared} table of shape {rows}x{cols}, but this "
+                f"experiment needs {encoder} {states}x{action_count}"
+            )
     values = _zeros_on_demand((rows, cols), np.float64)
     visits = _zeros_on_demand((rows, cols), np.int64)
     listed = set()
@@ -316,29 +327,17 @@ def qtable_load(path: str | Path) -> QTable:
             raise ValueError(f"{path}: line {number}: {exc}") from None
         listed.add((r, c))
         values[r, c], visits[r, c] = value, count
-    return QTable(encoder, values, visits)
+    return QTable(declared, values, visits)
 
 
 def qtable_load_or_zeros(
     path: str | Path, encoder: str, action_count: int
 ) -> QTable:
-    """Load a persisted table, or start from all zeros when none exists."""
-    path = Path(path)
-    if not path.exists():
-        return QTable.zeros(encoder, action_count)
-    table = qtable_load(path)
-    expected_states = state_count(encoder, action_count)
-    if (
-        table.encoder != encoder
-        or table.state_count != expected_states
-        or table.action_count != action_count
-    ):
-        raise QTableMismatchError(
-            f"{path} holds a {table.encoder} table of shape "
-            f"{table.state_count}x{table.action_count}, but this experiment "
-            f"needs {encoder} {expected_states}x{action_count}"
-        )
-    return table
+    """The ``encoder`` table over ``action_count`` actions persisted at ``path``, or
+    all zeros when there is none; another table there raises QTableMismatchError."""
+    if Path(path).exists():
+        return qtable_load(path, encoder, action_count)
+    return QTable.zeros(encoder, action_count)
 
 
 def make_action_space(
@@ -351,9 +350,12 @@ def make_action_space(
     """
     if not sorted_configs:
         raise ValueError("empty configuration list")
-    if count != "all" and (isinstance(count, bool) or not isinstance(count, int) or count < 1):
+    if count == "all":
+        return list(sorted_configs)
+    if not is_count(count, 1):
         raise ValueError(f"action count must be 'all' or an integer >= 1, got {count!r}")
-    if count == "all" or count >= len(sorted_configs):
+    count = operator.index(count)
+    if count >= len(sorted_configs):
         return list(sorted_configs)
     if count == 1:
         return [sorted_configs[0]]

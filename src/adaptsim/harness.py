@@ -317,10 +317,21 @@ def run_episode(
 
 
 def _decide_quantiles(decide_ns: array) -> tuple[float, float]:
-    """(median, p99) of decide() wall times given in ns, in seconds: one partition."""
+    """(median, p99) of decide() wall times given in ns, in seconds, interpolated
+    linearly as ``np.percentile`` does, from one partition."""
+    # Not np.percentile: its first call imports numpy.ma, inside the first campaign's time.
     # Over the ns themselves: a seconds copy would be one more temporary of the episode's length.
-    median, p99 = np.percentile(np.frombuffer(decide_ns, dtype=np.int64), [50, 99]) / 1e9
-    return float(median), float(p99)
+    last = len(decide_ns) - 1
+    at = [last * 0.5, last * 0.99]
+    kth = [min(int(x) + i, last) for x in at for i in (0, 1)]
+    ns = np.partition(np.frombuffer(decide_ns, dtype=np.int64), kth)
+
+    def lerp(x: float) -> float:
+        lo, t = int(x), x - int(x)
+        a, b = ns[lo].item(), ns[min(lo + 1, last)].item()
+        return (b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t) / 1e9
+
+    return lerp(at[0]), lerp(at[1])
 
 
 def _run_metrics(
@@ -405,11 +416,10 @@ def _persistence_lock(path: Path):
 def run_experiment(spec: ExperimentSpec) -> CampaignResult:
     """Run one campaign: ``spec.runs`` seeded episodes of one controller.
 
-    Learning controllers start run 0 from an all-zero table (any existing
-    file at the persistence path is overwritten) and chain the table through
-    the remaining runs via save/load round trips.  Every campaign holds its
-    directory's lock while it deletes an earlier run's records and writes its
-    own: a shorter re-run leaves none of the old ones behind.
+    Every campaign holds its directory's lock while it deletes an earlier
+    run's records, Q-table included, and writes its own: a shorter re-run
+    leaves none of the old ones behind.  So a learner's run 0 finds no table
+    and starts from zeros, and each later run loads the one the run before saved.
     """
     actions, env = _set_up(spec)
     runs_dir = spec.out_dir / "runs"
@@ -437,9 +447,9 @@ def _run_index(path: Path) -> int | None:
 
 
 def _clear_records(campaign_dir: Path) -> None:
-    """Delete the records a campaign writes into ``campaign_dir``; ``qtable.txt`` is
-    overwritten by run 0.  A ``runs/run_*.csv`` the writer never names stays."""
-    for name in ("metrics.csv", "timings.csv"):
+    """Delete the records a campaign writes into ``campaign_dir``.  A
+    ``runs/run_*.csv`` the writer never names stays."""
+    for name in ("metrics.csv", "timings.csv", "qtable.txt"):
         (campaign_dir / name).unlink(missing_ok=True)
     for path in (campaign_dir / "runs").glob("run_*.csv"):
         if _run_index(path) is not None:
@@ -462,9 +472,7 @@ def _run_once(
     holds two tables at once.
     """
     env_ss, ctrl_ss = np.random.SeedSequence(spec.base_seed + k).spawn(2)
-    table = (
-        qtable_load_or_zeros(spec.qtable_path, encoder, len(actions)) if encoder and k else None
-    )
+    table = qtable_load_or_zeros(spec.qtable_path, encoder, len(actions)) if encoder else None
     controller = build_controller(spec, actions, table, np.random.default_rng(ctrl_ss))
     episode = run_episode(env, controller, actions, env_ss, run_index=k)
     write_run_trace(runs_dir / f"run_{k:03d}.csv", episode.trace)
@@ -530,6 +538,21 @@ def measure_overhead(
     )
 
 
+def _kind_order(known: tuple[str, ...]):
+    """A sort key: the kinds of ``known`` in its order, then any other name by name."""
+    return lambda name: (known.index(name) if name in known else len(known), name)
+
+
+_CONTROLLER_ORDER, _TRACE_ORDER = _kind_order(CONTROLLER_KINDS), _kind_order(TRACE_KINDS)
+
+
+def in_summary_order(results: Iterable[CampaignResult]) -> list[CampaignResult]:
+    """``results`` in the order ``summary.csv`` holds them: by trace, then by controller."""
+    return sorted(
+        results, key=lambda r: (_TRACE_ORDER(r.trace_kind), _CONTROLLER_ORDER(r.controller))
+    )
+
+
 def emit_report(results: Sequence[CampaignResult], out_dir: str | Path) -> dict[str, Path]:
     """Write the cross-campaign summary table and per-controller averages.
 
@@ -542,14 +565,8 @@ def emit_report(results: Sequence[CampaignResult], out_dir: str | Path) -> dict[
         raise ValueError("no campaign results to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def _canonical(known: tuple[str, ...]):
-        return lambda name: (known.index(name) if name in known else len(known), name)
-
-    controllers = sorted(
-        dict.fromkeys(r.controller for r in results), key=_canonical(CONTROLLER_KINDS)
-    )
-    traces = sorted(dict.fromkeys(r.trace_kind for r in results), key=_canonical(TRACE_KINDS))
+    controllers = sorted({r.controller for r in results}, key=_CONTROLLER_ORDER)
+    traces = sorted({r.trace_kind for r in results}, key=_TRACE_ORDER)
     objective_metric = results[0].objective_metric
     by_key = {(r.controller, r.trace_kind): r for r in results}
 

@@ -236,9 +236,9 @@ def save_profile(table: ProfileTable, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_profile(path: str | Path) -> ProfileTable:
-    """Read a profile file.  Every refusal starts with ``<path>:``, and one
-    about a single row with ``<path>:<line>:``."""
+def load_profile(path: str | Path, topology: ServiceTopology | None = None) -> ProfileTable:
+    """Read a profile file, refusing one that does not cover exactly ``topology``, if given.
+    Every refusal starts with ``<path>:``, and one about a single row with ``<path>:<line>:``."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -286,10 +286,13 @@ def load_profile(path: str | Path) -> ProfileTable:
             f"input sizes {missing}"
         )
     try:
-        return ProfileTable(configs, knots, latency, objective)
+        table = ProfileTable(configs, knots, latency, objective)
+        if topology is not None:
+            validate_profile_coverage(table, topology)
     except ProfileError as exc:
         where = f"{path}:{line_of[exc.cell]}" if exc.cell else f"{path}"
         raise ProfileError(f"{where}: {exc}") from None
+    return table
 
 
 def validate_profile_coverage(table: ProfileTable, topology: ServiceTopology) -> None:

@@ -14,11 +14,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .profiling import ProfileTable
+
+
+def is_count(value: Any, least: int) -> bool:
+    """Whether ``value`` is an integer >= ``least``, numpy's included; a bool, a float
+    or a string is not, whatever it would convert to."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .defaults import DEFAULT_INPUT_SIZES
 from .profiling import ProfileTable
-from .service_model import Requirement
+from .service_model import Requirement, is_count
 
 FIXED_TRACE_FACES = 48
 FIXED_TRACE_STEPS = 1000
@@ -140,15 +140,6 @@ class ScriptedCpu:
         return self._values[min(self._idx, len(self._values) - 1)]
 
 
-def _is_count(value: Any, least: int) -> bool:
-    """Whether ``value`` is an integer >= ``least``, numpy's included; a bool, a float
-    or a string is not, whatever it would convert to."""
-    try:
-        return not isinstance(value, bool) and operator.index(value) >= least
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class InputTrace:
     """Per-step input sizes (faces per frame) for one episode.
@@ -171,11 +162,11 @@ class InputTrace:
                 sizes = ()
             valid = len(sizes) == len(given) and min(sizes, default=0) >= 0
             if not valid or bool in set(map(type, given)):
-                bad = next(s for s in given if not _is_count(s, 0))
+                bad = next(s for s in given if not is_count(s, 0))
                 raise ValueError(f"an input size must be an integer >= 0, got {bad!r}")
             object.__setattr__(self, "sizes", sizes)
             object.__setattr__(self, "length", len(sizes))
-        if not _is_count(self.length, 1):
+        if not is_count(self.length, 1):
             raise ValueError(f"trace length must be an integer >= 1, got {self.length!r}")
         object.__setattr__(self, "length", operator.index(self.length))
 

@@ -170,6 +170,24 @@ def test_cli_run_and_report_roundtrip(tmp_path, capsys):
     assert (out_root / "static-hp_random" / "runs" / "run_000.csv").exists()
 
 
+def test_run_and_report_print_the_same_table_in_summary_order(tmp_path, capsys):
+    # Kinds listed against the paper's order: both verbs print summary.csv's order.
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(
+        MINIMAL_TOPOLOGY.replace("[static-hp, heuristic]", "[rl2, heuristic]")
+        .replace("kinds: [random]", "kinds: [random, fixed]")
+        + "out_dir: results\n"
+    )
+    assert main(["run", "--config", str(exp)]) == 0
+    ran = capsys.readouterr().out.split("summary: ", 1)[1]
+    assert main(["report", "--config", str(exp), "--out", str(tmp_path / "results")]) == 0
+    assert capsys.readouterr().out.split("summary: ", 1)[1] == ran
+    campaigns = [line.split()[:2] for line in ran.splitlines()[2:]]
+    assert campaigns == [
+        ["heuristic", "fixed"], ["rl2", "fixed"], ["heuristic", "random"], ["rl2", "random"]
+    ]
+
+
 @pytest.mark.parametrize(
     "column,cell,complaint",
     [

@@ -306,6 +306,16 @@ def test_qtable_dimension_mismatch(tmp_path):
         qtable_load_or_zeros(path, "v2", 16)
 
 
+def test_qtable_header_of_another_shape_is_refused_before_any_cell_is_allocated(tmp_path):
+    # A table of 2^62 states would need exabytes: it is refused at its header,
+    # not by a MemoryError from allocating it.
+    path = tmp_path / "q.txt"
+    path.write_text(f"v2 {2**62} 16\n0 0 0.5 1\n")
+    message = f"{path} holds a v2 table of shape {2**62}x16, but this experiment needs v2 144x16"
+    with pytest.raises(QTableMismatchError, match=f"^{re.escape(message)}$"):
+        qtable_load_or_zeros(path, "v2", 16)
+
+
 def test_qtable_absent_file_defaults_to_zeros(tmp_path):
     table = qtable_load_or_zeros(tmp_path / "missing.txt", "v2", 16)
     assert table.values.shape == (144, 16)
@@ -645,6 +655,19 @@ def test_make_action_space_refuses_a_count_that_is_not_all_or_a_positive_int(
 ):
     with pytest.raises(ValueError, match=f"got {re.escape(repr(count))}$"):
         make_action_space(face_sorted_configs, count)
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0, "3", None])
+def test_heuristic_params_refuse_an_upgrade_after_that_is_not_an_integer_of_1_or_more(value):
+    message = f"upgrade_after must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HeuristicParams(upgrade_after=value)
+
+
+def test_a_numpy_integer_is_a_count(face_sorted_configs):
+    four = make_action_space(face_sorted_configs, 4)
+    assert make_action_space(face_sorted_configs, np.int64(4)) == four
+    assert HeuristicParams(upgrade_after=np.int64(2)) == HeuristicParams(upgrade_after=2)
 
 
 # --- learning controller -------------------------------------------------------

@@ -1,4 +1,5 @@
 import filecmp
+import math
 import os
 import re
 import shutil
@@ -164,6 +165,40 @@ def test_rl_campaign_restarts_from_zeros(tmp_path, face_profile, face_topology, 
     assert first.mean_reward == again.mean_reward
 
 
+def test_a_learner_rerun_interrupted_in_run_0_leaves_no_table(
+    tmp_path, face_profile, face_topology, face_requirement, monkeypatch
+):
+    spec = spec_for(
+        tmp_path, "rl2", face_profile, face_topology, face_requirement,
+        trace=make_trace("random", length=40),
+    )
+    run_experiment(spec)
+    assert spec.qtable_path.exists()
+
+    def interrupted(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(harness, "run_episode", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_experiment(spec)
+    assert not spec.qtable_path.exists()  # the earlier campaign's table is not left behind
+
+
+def test_a_numpy_integer_action_count_runs_as_an_int(
+    tmp_path, face_profile, face_topology, face_requirement
+):
+    metrics = [
+        run_experiment(spec_for(
+            tmp_path, "rl1", face_profile, face_topology, face_requirement,
+            trace=make_trace("random", length=60), out_dir=tmp_path / name,
+            action_count=count, runs=2,
+        )).metrics
+        for name, count in (("int", 8), ("numpy", np.int64(8)))
+    ]
+    assert metrics[0] == metrics[1]
+    assert qtable_load(tmp_path / "numpy" / "qtable.txt").action_count == 8
+
+
 @pytest.mark.parametrize("kind", ["rl1", "rl2"])
 def test_learner_campaign_holds_one_table_at_a_time(
     tmp_path, face_profile, face_topology, face_requirement, kind, monkeypatch
@@ -244,6 +279,40 @@ def test_rl2_campaign_memory_grows_with_the_rows_it_writes(tmp_path):
     growth = int(done.stdout) * 1024
     dense = state_count("v2", 512) * 512 * 16
     assert growth < dense / 2, f"peak grew {growth / 1e6:.1f} MB over the rl2 campaign"
+
+
+def test_decide_quantiles_match_numpy_percentile():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 100, 1100):
+        ns = rng.integers(1, 10**6, size=n)
+        median, p99 = harness._decide_quantiles(array("q", ns.tolist()))
+        want = np.percentile(ns, [50, 99]) / 1e9
+        assert math.isclose(median, want[0], rel_tol=1e-12), n
+        assert math.isclose(p99, want[1], rel_tol=1e-12), n
+
+
+_MASKED_ARRAYS_SCRIPT = """
+import sys
+from adaptsim.config import load_config
+from adaptsim.harness import run_experiment
+
+specs = load_config(None).campaign_specs(out_dir=sys.argv[1], runs=1)
+print([run_experiment(spec).controller for spec in specs])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_of_each_kind_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile imports numpy.ma on its first call: 9-17 ms inside the
+    # first campaign's wall time, for two quantiles.
+    env = dict(os.environ)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MASKED_ARRAYS_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert done.stdout.splitlines() == [str(list(CONTROLLER_KINDS)), "False"]
 
 
 def reaped_pid() -> int:

@@ -272,7 +272,7 @@ def test_objective_clipped_to_unit_interval():
     assert table.objective((1,)) == 1.0
 
 
-def test_validate_profile_coverage(face_profile, face_topology):
+def test_validate_profile_coverage(face_profile, face_topology, tmp_path):
     topo = tiny_topology()
     with pytest.raises(ProfileError, match="missing"):
         validate_profile_coverage(face_profile, topo)
@@ -282,6 +282,14 @@ def test_validate_profile_coverage(face_profile, face_topology):
     small = generate_synthetic_profile(constant_model(), topo, [6])
     validate_profile_coverage(small, topo)
     validate_profile_coverage(face_profile, face_topology)
+    # load_profile given a topology refuses a file that does not cover it, by the file's path
+    path = tmp_path / "p.csv"
+    save_profile(ProfileTable([(0,)], [6], [[0.1]], [0.5]), path)
+    assert load_profile(path).configurations() == [(0,)]
+    with pytest.raises(ProfileError, match=f"^{re.escape(f'{path}: profile is missing 1 ')}"):
+        load_profile(path, topo)
+    save_profile(small, path)
+    assert load_profile(path, topo).configurations() == [(0,), (1,)]
 
 
 @settings(max_examples=60, deadline=None)
