@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config, refuse_repeats
+from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (
     CONTROLLER_KINDS,
     CampaignResult,
@@ -55,17 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--controller",
         action="append",
-        choices=CONTROLLER_KINDS,
-        default=None,
-        help="run only this controller (repeatable)",
+        help=f"run only this controller (repeatable): {', '.join(CONTROLLER_KINDS)}",
     )
     p_run.add_argument(
         "--trace",
         action="append",
-        type=lambda kind: kind.replace("-", "_"),
-        choices=TRACE_KINDS,
-        default=None,
-        help="run only this trace (repeatable; full-day and full_day both work)",
+        help=f"run only this trace (repeatable): {', '.join(TRACE_KINDS)}; "
+        "full-day and full_day both work",
     )
 
     p_overhead = sub.add_parser(
@@ -79,9 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_overhead.add_argument(
         "--controller",
         action="append",
-        choices=CONTROLLER_KINDS,
-        default=None,
-        help="controller(s) to time (default: heuristic and rl2)",
+        help=f"controller(s) to time (default: heuristic and rl2): {', '.join(CONTROLLER_KINDS)}",
     )
     p_overhead.add_argument(
         "--reference-frame-ms",
@@ -109,8 +103,6 @@ def _cmd_profile(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    refuse_repeats(args.controller or [], "--controller")
-    refuse_repeats(args.trace or [], "--trace")
     specs = cfg.campaign_specs(
         controllers=args.controller,
         trace_kinds=args.trace,

@@ -33,6 +33,7 @@ from .service_model import (
     ParameterSpec,
     Requirement,
     ServiceTopology,
+    is_count,
 )
 from .simenv import TRACE_KINDS, CpuChainParams, make_trace
 
@@ -93,12 +94,16 @@ class ExperimentConfig:
         runs: int | None = None,
         base_seed: int | None = None,
     ) -> list[ExperimentSpec]:
-        """One spec per (controller, trace), optionally overridden by the CLI; a kind
-        named twice is refused."""
-        controllers = controllers or self.controllers
-        trace_kinds = trace_kinds or self.trace_kinds
-        refuse_repeats(controllers, "the controller list")
-        refuse_repeats(trace_kinds, "the trace kind list")
+        """One spec per (controller, trace), optionally overridden by the CLI; an override
+        list is read as the config's own lists are."""
+        if controllers is None:
+            controllers = self.controllers
+        else:
+            controllers = _kinds(controllers, "the controller list", CONTROLLER_KINDS)
+        if trace_kinds is None:
+            trace_kinds = self.trace_kinds
+        else:
+            trace_kinds = _kinds(trace_kinds, "the trace kind list", TRACE_KINDS, _trace_kind)
         out_root = Path(out_dir) if out_dir is not None else self.out_dir
         specs = []
         for trace_kind in trace_kinds:
@@ -124,9 +129,10 @@ class ExperimentConfig:
 
 
 def _known_node(
-    node: Any, where: str, known: Sequence[str] | None = None
+    node: Any, where: str, known: Sequence[str] | None = None, required: Sequence[str] = ()
 ) -> Mapping[str, Any]:
-    """A mapping whose keys are all in ``known`` (any key when ``known`` is None)."""
+    """A mapping whose keys are all in ``known`` (any key when ``known`` is None) and
+    that holds every key of ``required``."""
     if not isinstance(node, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
     for key in node:
@@ -134,6 +140,9 @@ def _known_node(
             raise ConfigError(
                 f"unknown key {key!r} under {where}; expected one of {', '.join(known)}"
             )
+    for key in required:
+        if key not in node:
+            raise ConfigError(f"{where} missing key {key!r}")
     return node
 
 
@@ -144,11 +153,42 @@ def _list_node(node: Any, where: str) -> list | tuple:
     return node
 
 
+def _kinds(
+    node: Any, where: str, known: Sequence[str], spell: Callable[[Any], str] = str
+) -> list[str]:
+    """The kinds a list names, each spelled by ``spell``: at least one, each in ``known``,
+    and none twice, since its campaign would run twice into one directory."""
+    kinds = [spell(kind) for kind in _list_node(node, where)]
+    if not kinds:
+        raise ConfigError(f"{where} must name at least one kind")
+    for i, kind in enumerate(kinds):
+        if kind not in known:
+            raise ConfigError(
+                f"{where} names unknown kind {kind!r}; expected one of {', '.join(known)}"
+            )
+        if kind in kinds[:i]:
+            raise ConfigError(f"{where} names {kind!r} more than once")
+    return kinds
+
+
+def _trace_kind(kind: Any) -> str:
+    """A trace kind as :data:`TRACE_KINDS` spells it: ``full-day`` is ``full_day``."""
+    return str(kind).replace("-", "_")
+
+
+def _built(where: str, make: Callable, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises is refused under the key ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _params(node: Any, cls: type, where: str, value: Callable[[Any, str], Any]):
     """The dataclass ``cls`` from a mapping whose keys are all its fields, each
     value read by ``value(v, "<where>.<key>")``."""
     node = _known_node(node, where, [f.name for f in fields(cls)])
-    return cls(**{k: value(v, f"{where}.{k}") for k, v in node.items()})
+    return _built(where, cls, **{k: value(v, f"{where}.{k}") for k, v in node.items()})
 
 
 def _parse_topology(node: Any) -> ServiceTopology:
@@ -161,22 +201,15 @@ def _parse_topology(node: Any) -> ServiceTopology:
         p_nodes = _list_node(op_node.get("parameters", []), f"{where}.parameters")
         for j, p_node in enumerate(p_nodes):
             p_where = f"{where}.parameters[{j}]"
-            p_node = _known_node(p_node, p_where, ("name", "values"))
-            try:
-                values = _list_node(p_node["values"], f"{p_where}.values")
-                params.append(ParameterSpec(str(p_node["name"]), tuple(map(str, values))))
-            except KeyError as exc:
-                raise ConfigError(f"parameter entry missing key {exc}") from None
-        operators.append(
-            OperatorSpec(
-                name=str(op_node.get("name", f"op{len(operators)}")),
-                parameters=tuple(params),
+            p_node = _known_node(p_node, p_where, ("name", "values"), required=("name", "values"))
+            values = _list_node(p_node["values"], f"{p_where}.values")
+            params.append(
+                _built(p_where, ParameterSpec, str(p_node["name"]), tuple(map(str, values)))
             )
-        )
-    try:
-        return ServiceTopology(name=str(node.get("name", "service")), operators=tuple(operators))
-    except ValueError as exc:
-        raise ConfigError(f"invalid topology: {exc}") from None
+        name = str(op_node.get("name", f"op{len(operators)}"))
+        operators.append(_built(where, OperatorSpec, name, tuple(params)))
+    name = str(node.get("name", "service"))
+    return _built("topology", ServiceTopology, name, tuple(operators))
 
 
 def _parse_requirement(node: Any) -> Requirement:
@@ -187,22 +220,17 @@ def _parse_requirement(node: Any) -> Requirement:
     c_nodes = _list_node(node.get("constraints", []), "requirement.constraints")
     for i, c_node in enumerate(c_nodes):
         where = f"requirement.constraints[{i}]"
-        c_node = _known_node(c_node, where, ("metric", "target"))
-        if "target" not in c_node:
-            raise ConfigError(f"{where} missing key 'target'")
+        c_node = _known_node(c_node, where, ("metric", "target"), required=("target",))
         target = _number(c_node["target"], f"{where}.target")
-        try:
-            constraints.append(ConstraintSpec(str(c_node.get("metric", "latency")), target))
-        except ValueError as exc:
-            raise ConfigError(f"invalid requirement: {exc}") from None
-    try:
-        return Requirement(
-            objective_metric=str(node.get("objective_metric", "precision")),
-            constraints=tuple(constraints),
-            objective_sense=str(node.get("objective_sense", "maximize")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid requirement: {exc}") from None
+        metric = str(c_node.get("metric", "latency"))
+        constraints.append(_built(where, ConstraintSpec, metric, target))
+    return _built(
+        "requirement",
+        Requirement,
+        objective_metric=str(node.get("objective_metric", "precision")),
+        constraints=tuple(constraints),
+        objective_sense=str(node.get("objective_sense", "maximize")),
+    )
 
 
 def _weights(node: Any, where: str) -> dict[str, dict[str, float]]:
@@ -217,22 +245,16 @@ def _weights(node: Any, where: str) -> dict[str, dict[str, float]]:
 
 
 def _parse_model(node: Any) -> SyntheticProfileModel:
-    node = _known_node(
-        node,
+    keys = ("latency_floor", "per_face_slope", "latency_weights", "objective_weights")
+    node = _known_node(node, "profile.model", keys, required=keys)
+    return _built(
         "profile.model",
-        ("latency_floor", "per_face_slope", "latency_weights", "objective_weights"),
+        SyntheticProfileModel,
+        latency_weights=_weights(node["latency_weights"], "profile.model.latency_weights"),
+        objective_weights=_weights(node["objective_weights"], "profile.model.objective_weights"),
+        per_face_slope=_number(node["per_face_slope"], "profile.model.per_face_slope"),
+        latency_floor=_number(node["latency_floor"], "profile.model.latency_floor"),
     )
-    try:
-        return SyntheticProfileModel(
-            latency_weights=_weights(node["latency_weights"], "profile.model.latency_weights"),
-            objective_weights=_weights(
-                node["objective_weights"], "profile.model.objective_weights"
-            ),
-            per_face_slope=_number(node["per_face_slope"], "profile.model.per_face_slope"),
-            latency_floor=_number(node["latency_floor"], "profile.model.latency_floor"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"profile.model missing key {exc}") from None
 
 
 def load_config(path: str | Path | None = None) -> ExperimentConfig:
@@ -259,11 +281,11 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     return parse_config(raw, base_dir=Path(path).parent if path else Path.cwd())
 
 
-def _integer(value: Any, key: str) -> int:
-    """``value`` itself if it is a non-negative integer; bools, floats and
+def _integer(value: Any, key: str, least: int = 0) -> int:
+    """``value`` itself if it is an integer >= ``least``; bools, floats and
     strings are refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+    if not is_count(value, least):
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -281,13 +303,6 @@ def _path(value: Any, key: str, base_dir: Path) -> Path:
         raise ConfigError(f"{key} must be a string, got {type(value).__name__}")
     path = Path(value)
     return path if path.is_absolute() else base_dir / path
-
-
-def refuse_repeats(kinds: Sequence[str], where: str) -> None:
-    """Refuse a kind named twice: its campaign would run twice into one directory."""
-    for i, kind in enumerate(kinds):
-        if kind in kinds[:i]:
-            raise ConfigError(f"{where} names {kind!r} more than once")
 
 
 def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> ExperimentConfig:
@@ -324,12 +339,11 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         ]
         model_node = profile_node.get("model", "default")
         model = defaults.default_model() if model_node == "default" else _parse_model(model_node)
-        profile = generate_synthetic_profile(model, topology, input_sizes)
+        profile = _built("profile", generate_synthetic_profile, model, topology, input_sizes)
     elif source == "file":
         # The file brings its own input sizes and latencies.
-        _known_node(profile_node, "profile with source 'file'", ("source", "path"))
-        if "path" not in profile_node:
-            raise ConfigError("profile.source is 'file' but profile.path is missing")
+        where = "profile with source 'file'"
+        _known_node(profile_node, where, ("source", "path"), required=("path",))
         profile = load_profile(_path(profile_node["path"], "profile.path", base_dir), topology)
     else:
         raise ConfigError(f"unknown profile source {source!r}")
@@ -337,16 +351,8 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
     controller_node = _known_node(
         raw.get("controller", {}), "controller", ("kinds", "actions", "heuristic", "learning")
     )
-    controllers = [
-        str(c)
-        for c in _list_node(controller_node.get("kinds", CONTROLLER_KINDS), "controller.kinds")
-    ]
-    if not controllers:
-        raise ConfigError("controller.kinds must name at least one controller")
-    for c in controllers:
-        if c not in CONTROLLER_KINDS:
-            raise ConfigError(f"unknown controller {c!r}; pick from {CONTROLLER_KINDS}")
-    refuse_repeats(controllers, "controller.kinds")
+    kinds = controller_node.get("kinds", CONTROLLER_KINDS)
+    controllers = _kinds(kinds, "controller.kinds", CONTROLLER_KINDS)
     heuristic_params = _params(
         controller_node.get("heuristic", {}), HeuristicParams, "controller.heuristic", _integer
     )
@@ -354,28 +360,14 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         controller_node.get("learning", {}), LearningParams, "controller.learning", _number
     )
     action_count: int | str = controller_node.get("actions", 16)
-    if action_count != "all" and _integer(action_count, "controller.actions") < 1:
-        raise ConfigError("controller.actions must be >= 1 or 'all', got 0")
+    if action_count != "all":
+        _integer(action_count, "controller.actions", 1)
 
     trace_node = _known_node(raw.get("trace", {}), "trace", ("kinds", "random_length"))
-    trace_kinds = [
-        str(t).replace("-", "_")
-        for t in _list_node(trace_node.get("kinds", ["variable"]), "trace.kinds")
-    ]
-    if not trace_kinds:
-        raise ConfigError("trace.kinds must name at least one trace kind")
-    for t in trace_kinds:
-        if t not in TRACE_KINDS:
-            raise ConfigError(f"unknown trace kind {t!r}; pick from {TRACE_KINDS}")
-    refuse_repeats(trace_kinds, "trace.kinds")
-
+    kinds = trace_node.get("kinds", ["variable"])
+    trace_kinds = _kinds(kinds, "trace.kinds", TRACE_KINDS, _trace_kind)
     # Refused when the config loads, whatever trace kinds run and whichever verb reads it.
-    random_length = _integer(trace_node.get("random_length", 1000), "trace.random_length")
-    if random_length < 1:
-        raise ConfigError("trace.random_length: trace length must be >= 1, got 0")
-    runs = _integer(raw.get("runs", 50), "runs")
-    if runs < 1:
-        raise ConfigError("runs must be >= 1, got 0")
+    random_length = _integer(trace_node.get("random_length", 1000), "trace.random_length", 1)
 
     return ExperimentConfig(
         topology=topology,
@@ -387,7 +379,7 @@ def parse_config(raw: Mapping[str, Any], base_dir: Path | None = None) -> Experi
         heuristic_params=heuristic_params,
         learning_params=learning_params,
         action_count=action_count,
-        runs=runs,
+        runs=_integer(raw.get("runs", 50), "runs", 1),
         base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
         out_dir=_path(raw.get("out_dir", "results"), "out_dir", base_dir),
         random_trace_length=random_length,

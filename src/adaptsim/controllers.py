@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .service_model import Configuration, Requirement, is_count
+from .service_model import Configuration, Requirement, is_count, require_count
 
 _LATENCY_BINS = 3
 _CPU_BINS = 3
@@ -75,8 +75,7 @@ class HeuristicParams:
     upgrade_after: int = 10
 
     def __post_init__(self) -> None:
-        if not is_count(self.upgrade_after, 1):
-            raise ValueError(f"upgrade_after must be an integer >= 1, got {self.upgrade_after!r}")
+        require_count("upgrade_after", self.upgrade_after, 1)
 
 
 def latency_bin(ratio: float | None) -> int:
@@ -368,10 +367,8 @@ class StaticController:
     """Always returns the same action; the non-adaptive baseline."""
 
     def __init__(self, action_index: int, name: str = "static"):
-        if action_index < 0:
-            raise ValueError("action_index must be >= 0")
         self.name = name
-        self._action = action_index
+        self._action = require_count("action_index", action_index, 0)
 
     def reset(self) -> None:
         pass
@@ -400,10 +397,8 @@ class HeuristicController:
     name = "heuristic"
 
     def __init__(self, action_count: int, params: HeuristicParams | None = None):
-        if action_count < 1:
-            raise ValueError("action_count must be >= 1")
         self.params = params or HeuristicParams()
-        self._action_count = action_count
+        self._action_count = require_count("action_count", action_count, 1)
         self.reset()
 
     def reset(self) -> None:

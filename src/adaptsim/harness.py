@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import fcntl
 import math
-import numbers
 import os
 import time
 from array import array
@@ -48,6 +47,7 @@ from .service_model import (
     Requirement,
     ServiceTopology,
     enumerate_configurations,
+    require_count,
     sort_by_objective,
 )
 from .simenv import (
@@ -190,15 +190,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown controller {self.controller!r}; pick from {CONTROLLER_KINDS}"
             )
-        for name in ("runs", "base_seed"):  # a numpy integer is read as an int; a bool is refused
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed}")
+        for name, least in (("runs", 1), ("base_seed", 0)):  # a numpy integer is read as an int
+            setattr(self, name, require_count(name, getattr(self, name), least))
         self.out_dir = Path(self.out_dir)
         # Environment refuses it too; here it is refused before any campaign runs.
         target, floor = self.requirement.latency_target, self.cpu_params.min_avail
@@ -515,10 +508,7 @@ def measure_overhead(
     includes the value update).  The impact percentage relates the median
     decision time to a reference frame processing time, 70 ms by default.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    steps, warmup = require_count("steps", steps, 1), require_count("warmup", warmup, 0)
     if not 0 < reference_frame_s < float("inf"):  # refuses NaN too
         raise ValueError(
             f"reference frame time must be a finite number > 0, got {reference_frame_s} s"

@@ -31,6 +31,13 @@ def is_count(value: Any, least: int) -> bool:
         return False
 
 
+def require_count(name: str, value: Any, least: int) -> int:
+    """``value`` as an int if :func:`is_count` takes it; else a ValueError naming ``name``."""
+    if not is_count(value, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ParameterSpec:
     """A single adaptation knob: a name and its ordered set of value labels.

@@ -25,7 +25,7 @@ import numpy as np
 
 from .defaults import DEFAULT_INPUT_SIZES
 from .profiling import ProfileTable
-from .service_model import Requirement, is_count
+from .service_model import Requirement, is_count, require_count
 
 FIXED_TRACE_FACES = 48
 FIXED_TRACE_STEPS = 1000
@@ -166,9 +166,7 @@ class InputTrace:
                 raise ValueError(f"an input size must be an integer >= 0, got {bad!r}")
             object.__setattr__(self, "sizes", sizes)
             object.__setattr__(self, "length", len(sizes))
-        if not is_count(self.length, 1):
-            raise ValueError(f"trace length must be an integer >= 1, got {self.length!r}")
-        object.__setattr__(self, "length", operator.index(self.length))
+        object.__setattr__(self, "length", require_count("trace length", self.length, 1))
 
     def materialize(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Concrete per-step sizes for one episode."""

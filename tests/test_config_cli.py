@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from adaptsim.cli import build_parser, main
+from adaptsim.cli import main
 from adaptsim.config import ConfigError, load_config
 from adaptsim.controllers import HeuristicParams, LearningParams, make_action_space
 from adaptsim.defaults import default_model, default_topology
-from adaptsim.harness import METRICS_HEADER, _run_trace_paths, measure_overhead
+from adaptsim.harness import CONTROLLER_KINDS, METRICS_HEADER, _run_trace_paths, measure_overhead
 from adaptsim.profiling import ProfileError
 from adaptsim.service_model import enumerate_configurations, sort_by_objective
-from adaptsim.simenv import CpuChainParams
+from adaptsim.simenv import TRACE_KINDS, CpuChainParams
 
 NONMONOTONE = Path(__file__).resolve().parent.parent / "configs" / "nonmonotone.yaml"
 
@@ -104,16 +104,16 @@ def test_nonmonotone_config_breaks_only_the_ladders_latency_order():
 def test_config_errors(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("controller:\n  kinds: [pid]\n")
-    with pytest.raises(ConfigError, match="unknown controller"):
+    with pytest.raises(ConfigError, match="^controller.kinds names unknown kind 'pid'; "):
         load_config(path)
     path.write_text("trace:\n  kinds: [bursty]\n")
-    with pytest.raises(ConfigError, match="unknown trace kind"):
+    with pytest.raises(ConfigError, match="^trace.kinds names unknown kind 'bursty'; "):
         load_config(path)
     path.write_text("profile:\n  source: measurements\n")
     with pytest.raises(ConfigError, match="unknown profile source"):
         load_config(path)
     path.write_text("profile:\n  source: file\n")
-    with pytest.raises(ConfigError, match="profile.path"):
+    with pytest.raises(ConfigError, match="^profile with source 'file' missing key 'path'$"):
         load_config(path)
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.yaml")
@@ -352,9 +352,10 @@ def test_cli_report_refuses_a_directory_without_campaigns(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
-def test_cli_run_trace_takes_either_spelling():
-    args = build_parser().parse_args(["run", "--trace", "full-day", "--trace", "full_day"])
-    assert args.trace == ["full_day", "full_day"]
+def test_campaign_specs_takes_either_trace_spelling():
+    (spec,) = load_config(None).campaign_specs(controllers=["static-hp"], trace_kinds=["full-day"])
+    assert spec.trace.kind == "full_day"
+    assert spec.out_dir.name == "static-hp_full_day"
 
 
 def test_cli_run_overrides(tmp_path):
@@ -412,7 +413,7 @@ def test_cli_verbs_refuse_a_config_of_zero_runs(tmp_path, capsys, verb):
     status = main([verb, "--config", str(exp), *extra])
     captured = capsys.readouterr()
     assert status == 1
-    assert captured.err == "error: runs must be >= 1, got 0\n"
+    assert captured.err == "error: runs must be an integer >= 1, got 0\n"
     assert captured.out == ""
 
 
@@ -472,6 +473,37 @@ def test_cli_overhead_refuses_a_repeated_controller(capsys):
 def test_campaign_specs_refuses_a_repeated_kind(keyword, kinds, message):
     with pytest.raises(ConfigError, match=f"^{message} more than once$"):
         load_config(None).campaign_specs(**{keyword: kinds})
+
+
+@pytest.mark.parametrize(
+    "keyword, where", [("controllers", "the controller list"), ("trace_kinds", "the trace kind list")]
+)
+def test_campaign_specs_refuses_an_empty_override(keyword, where):
+    with pytest.raises(ConfigError, match=f"^{where} must name at least one kind$"):
+        load_config(None).campaign_specs(**{keyword: []})
+
+
+@pytest.mark.parametrize(
+    "verb, flags, message",
+    [("run", ["--controller", "foo"], "the controller list names unknown kind 'foo'; "),
+     ("run", ["--trace", "nope"], "the trace kind list names unknown kind 'nope'; "),
+     ("overhead", ["--controller", "foo"], "the controller list names unknown kind 'foo'; ")],
+    ids=["run-controller", "run-trace", "overhead-controller"],
+)
+def test_cli_refuses_an_unknown_kind_flag_in_one_line(tmp_path, capsys, verb, flags, message):
+    extra = ["--out", str(tmp_path / "out")] if verb == "run" else ["--steps", "50"]
+    status = main([verb, *flags, *extra])
+    _assert_refused_before_any_campaign(tmp_path, capsys, status, f"error: {message}")
+
+
+@pytest.mark.parametrize("verb, kinds", [("run", CONTROLLER_KINDS + TRACE_KINDS),
+                                         ("overhead", CONTROLLER_KINDS)])
+def test_cli_help_lists_the_kinds(capsys, monkeypatch, verb, kinds):
+    monkeypatch.setenv("COLUMNS", "200")  # no kind is split at its hyphen
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    out = capsys.readouterr().out
+    assert all(kind in out for kind in kinds), out
 
 
 def test_cli_report_reads_a_campaign_rerun_with_fewer_runs(tmp_path, capsys):
@@ -623,7 +655,7 @@ def test_cli_run_rejects_zero_random_trace_length(tmp_path, capsys):
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert "trace length must be >= 1" in err
+    assert "trace.random_length must be an integer >= 1, got 0" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -817,7 +849,7 @@ def test_cli_run_rejects_non_integer_field_before_any_campaign(
     captured = capsys.readouterr()
     assert status == 1
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
-    assert f"{key} must be a non-negative integer" in captured.err, captured.err
+    assert f"{key} must be an integer >= " in captured.err, captured.err
     assert "running" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -851,8 +883,9 @@ def _assert_refused_before_any_campaign(tmp_path, capsys, status, *named):
 
 @pytest.mark.parametrize(
     "flags, named",
-    [(["--controller", "heuristic", "--controller", "heuristic"], "--controller names 'heuristic'"),
-     (["--trace", "full-day", "--trace", "full_day"], "--trace names 'full_day'")],
+    [(["--controller", "heuristic", "--controller", "heuristic"],
+      "the controller list names 'heuristic'"),
+     (["--trace", "full-day", "--trace", "full_day"], "the trace kind list names 'full_day'")],
     ids=["controller", "trace"],
 )
 def test_cli_run_refuses_a_repeated_kind_flag(tmp_path, capsys, flags, named):
@@ -887,13 +920,13 @@ def test_cli_run_rejects_zero_actions_before_any_campaign(tmp_path, capsys):
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: random"),
          "trace.kinds must be a list"),
         (MINIMAL_TOPOLOGY.replace("kinds: [static-hp, heuristic]", "kinds: []"),
-         "controller.kinds must name at least one controller"),
+         "controller.kinds must name at least one kind"),
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: []"),
-         "trace.kinds must name at least one trace kind"),
-        (MINIMAL_TOPOLOGY.replace("runs: 2", "runs: 0"), "runs must be >= 1"),
+         "trace.kinds must name at least one kind"),
+        (MINIMAL_TOPOLOGY.replace("runs: 2", "runs: 0"), "runs must be an integer >= 1, got 0"),
         (MINIMAL_TOPOLOGY.replace("kinds: [random]", "kinds: [variable]")
          .replace("random_length: 120", "random_length: 0"),
-         "trace.random_length: trace length must be >= 1"),
+         "trace.random_length must be an integer >= 1, got 0"),
         ("topology:\n  operators: {ocr: {}}\n", "topology.operators must be a list"),
         (MINIMAL_TOPOLOGY.replace("    - metric: latency\n      target: 2.0\n",
                                   "    metric: latency\n"),
@@ -953,6 +986,33 @@ def test_cli_run_rejects_non_number_float_field(tmp_path, capsys, config_text, k
     _assert_refused_before_any_campaign(
         tmp_path, capsys, _run_config(tmp_path, config_text), f"{key} must be a number"
     )
+
+
+@pytest.mark.parametrize(
+    "config_text, prefix",
+    [
+        (MINIMAL_TOPOLOGY + "cpu: {min_avail: 0}\n", "error: cpu: "),
+        (MINIMAL_TOPOLOGY.replace("  actions: all\n", "  actions: all\n  learning: {alpha: 2}\n"),
+         "error: controller.learning: "),
+        (MINIMAL_TOPOLOGY.replace("upgrade_after: 4", "upgrade_after: 0"),
+         "error: controller.heuristic: "),
+        (MINIMAL_TOPOLOGY.replace("input_sizes: [1, 4, 16]", "input_sizes: [48, 48]"),
+         "error: profile: "),
+        (MINIMAL_TOPOLOGY.replace("latency_floor: 0.2", "latency_floor: -1"),
+         "error: profile.model: "),
+        (MINIMAL_TOPOLOGY.replace('          values: ["150", "300"]\n', ""),
+         "error: topology.operators[0].parameters[0] missing key 'values'\n"),
+    ],
+    ids=["cpu", "learning", "heuristic", "profile", "model", "parameter-values"],
+)
+def test_cli_run_names_the_key_of_a_domain_refusal(tmp_path, capsys, config_text, prefix):
+    assert config_text != MINIMAL_TOPOLOGY
+    status = _run_config(tmp_path, config_text)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_missing_constraint_target(tmp_path, capsys):

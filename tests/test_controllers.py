@@ -664,6 +664,21 @@ def test_heuristic_params_refuse_an_upgrade_after_that_is_not_an_integer_of_1_or
         HeuristicParams(upgrade_after=value)
 
 
+@pytest.mark.parametrize(
+    "make, name, least, value",
+    [(StaticController, "action_index", 0, 1.5), (StaticController, "action_index", 0, True),
+     (StaticController, "action_index", 0, -1), (StaticController, "action_index", 0, "0"),
+     (HeuristicController, "action_count", 1, 2.5), (HeuristicController, "action_count", 1, True),
+     (HeuristicController, "action_count", 1, 0)],
+)
+def test_controllers_refuse_an_action_index_or_count_that_is_not_an_integer(
+    make, name, least, value
+):
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(value)
+
+
 def test_a_numpy_integer_is_a_count(face_sorted_configs):
     four = make_action_space(face_sorted_configs, 4)
     assert make_action_space(face_sorted_configs, np.int64(4)) == four

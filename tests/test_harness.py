@@ -527,7 +527,9 @@ def test_spec_refuses_a_run_count_or_seed_that_is_not_an_integer(
     )
     run_experiment(spec)
     records = {p: p.read_bytes() for p in spec.out_dir.rglob("*") if p.is_file()}
-    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+    least = {"runs": 1, "base_seed": 0}[field]
+    message = f"{field} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(replace(spec, **{field: value}))
     assert {p: p.read_bytes() for p in spec.out_dir.rglob("*") if p.is_file()} == records
 
@@ -567,8 +569,22 @@ def test_measure_overhead_refuses_negative_warmup(
     tmp_path, face_profile, face_topology, face_requirement
 ):
     spec = spec_for(tmp_path, "heuristic", face_profile, face_topology, face_requirement)
-    with pytest.raises(ValueError, match="^warmup must be >= 0, got -10$"):
+    with pytest.raises(ValueError, match="^warmup must be an integer >= 0, got -10$"):
         measure_overhead(spec, steps=100, warmup=-10)
+
+
+@pytest.mark.parametrize(
+    "name, value, least",
+    [("steps", True, 1), ("steps", 2.5, 1), ("steps", 0, 1), ("warmup", True, 0),
+     ("warmup", 1.5, 0)],
+)
+def test_measure_overhead_refuses_a_step_count_that_is_not_an_integer(
+    tmp_path, face_profile, face_topology, face_requirement, name, value, least
+):
+    spec = spec_for(tmp_path, "heuristic", face_profile, face_topology, face_requirement)
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        measure_overhead(spec, **{"steps": 100, "warmup": 10, name: value})
 
 
 @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
